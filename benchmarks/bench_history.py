@@ -16,7 +16,8 @@ one-off artifacts into a time series and a CI gate:
   artifacts (run deliberately, then commit the diff).
 
 Every headline metric is higher-is-better (speedups, scaling factors,
-throughput), so "regression" means ``current < baseline * (1 - tol)``.
+throughput — absolute rates where a ratio's slow side was itself the thing
+being optimised), so "regression" means ``current < baseline * (1 - tol)``.
 Run as a script::
 
     python benchmarks/bench_history.py --check
@@ -43,9 +44,9 @@ HEADLINE_METRICS: dict[str, dict[str, str]] = {
         "engine_speedup": "engine_speedup.speedup",
         "vectorized_speedup": "vectorized_speedup.speedup",
     },
-    "BENCH_refresh.json": {"speedup": "speedup"},
+    "BENCH_refresh.json": {"incremental_rounds_per_s": "incremental_rounds_per_s"},
     "BENCH_concurrency.json": {
-        "scaling": "scaling",
+        "single_thread_qps": "single_thread_qps",
         "best_concurrent_qps": "best_concurrent_qps",
         "worker_scaling": "front_doors.worker_scaling",
     },

@@ -20,8 +20,13 @@ otherwise identical stacks:
 Both stacks must return **bit-identical** answers every round (the cache
 either serves an exact entry or recomputes; see
 ``tests/core/test_partial_invalidation.py`` for the randomized version),
-and the incremental stack must be at least ``GATE``x faster.  CI runs this
-as part of the scale smoke step.  Results land in ``BENCH_refresh.json``.
+and the incremental stack must sustain at least ``GATE_ROUNDS_PER_S``
+refresh + re-query rounds per second.  The gate is that absolute figure,
+not the ratio between the stacks: the ratio fell from 11.6x to ~3x when
+pricing a cache miss got ~6x cheaper (the full-rebuild side is nearly all
+misses, so it gained most), while both sides got faster.  The ratio is
+still reported.  CI runs this as part of the scale smoke step.  Results
+land in ``BENCH_refresh.json``.
 """
 
 from __future__ import annotations
@@ -41,7 +46,10 @@ from benchmarks.bench_ablation_scale import build_tree, spread_hosts
 N_HOSTS = 256
 PREFILL_SAMPLES = 10
 ROUNDS = 40
-GATE = 5.0
+#: Incremental rounds/s floor: 15.7 ms/round (64 rounds/s) before the
+#: columnar series, ~2.2 ms/round (~450 rounds/s) after; 150 leaves a slow
+#: CI runner 3x slack and still fails a return to the old cost.
+GATE_ROUNDS_PER_S = 150.0
 
 
 class ScriptedCollector(Collector):
@@ -124,12 +132,15 @@ def test_incremental_refresh_speedup(benchmark):
     assert incremental.full_merges == 1
     assert rebuild.full_merges == ROUNDS + 1
     speedup = wall_full / wall_inc
+    rounds_per_s = ROUNDS / wall_inc
     emit(
         f"Steady-state refresh + warm re-query, {N_HOSTS} hosts, "
         f"{ROUNDS} sparse metrics-only sweeps:\n"
         f"  incremental pipeline  {wall_inc * 1e3 / ROUNDS:8.2f} ms/round\n"
         f"  full-rebuild pipeline {wall_full * 1e3 / ROUNDS:8.2f} ms/round\n"
-        f"  speedup               {speedup:8.1f}x (gate: >= {GATE}x)"
+        f"  incremental rate      {rounds_per_s:8.1f} rounds/s "
+        f"(gate: >= {GATE_ROUNDS_PER_S:g}, answers bit-identical)\n"
+        f"  full/incremental      {speedup:8.1f}x (reported, not gated)"
     )
     payload = {
         "benchmark": "bench_refresh_cost",
@@ -137,9 +148,10 @@ def test_incremental_refresh_speedup(benchmark):
         "rounds": ROUNDS,
         "incremental_ms_per_round": wall_inc * 1e3 / ROUNDS,
         "full_rebuild_ms_per_round": wall_full * 1e3 / ROUNDS,
+        "incremental_rounds_per_s": rounds_per_s,
         "speedup": speedup,
-        "gate": GATE,
+        "gate_rounds_per_s": GATE_ROUNDS_PER_S,
     }
     out = Path(__file__).resolve().parent.parent / "BENCH_refresh.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
-    assert speedup >= GATE
+    assert rounds_per_s >= GATE_ROUNDS_PER_S

@@ -37,37 +37,15 @@ class MetricsStore:
                 "record against the live collector view instead"
             )
 
-    def frozen_clone(
-        self,
-        cache: "dict[tuple[str, str], tuple[TimeSeries, int, TimeSeries]] | None" = None,
-    ) -> "MetricsStore":
+    def frozen_clone(self) -> "MetricsStore":
         """An immutable store holding frozen clones of every series.
 
-        *cache* is the publisher's copy-on-write memo, keyed by direction:
-        ``{key: (source series, version at clone time, frozen clone)}``.
-        A series whose identity and version are unchanged since the last
-        publication reuses the prior frozen clone, so a sparse sweep clones
-        only the series it touched.  The strong reference to the source
-        series makes the identity check sound (no ``id()`` reuse).  The
-        memo is updated in place.
+        O(1) per series: a frozen :class:`~repro.stats.TimeSeries` clone
+        shares its source's sample storage, so publication copies no
+        samples however long the series are.
         """
         clone = MetricsStore(self._capacity)
-        series_map: dict[tuple[str, str], TimeSeries] = {}
-        for key, series in self._series.items():
-            if cache is not None:
-                entry = cache.get(key)
-                if (
-                    entry is not None
-                    and entry[0] is series
-                    and entry[1] == series.version
-                ):
-                    series_map[key] = entry[2]
-                    continue
-            frozen = series.frozen_clone()
-            series_map[key] = frozen
-            if cache is not None:
-                cache[key] = (series, series.version, frozen)
-        clone._series = series_map
+        clone._series = {key: series.frozen_clone() for key, series in self._series.items()}
         clone._latest_time = self._latest_time
         clone._frozen = True
         return clone

@@ -32,7 +32,7 @@ from typing import Hashable
 from repro.core.timeframe import Timeframe, TimeframeKind
 from repro.stats import StatMeasure, make_predictor
 from repro.stats.forecast import Backtester
-from repro.stats.predictors import PREDICTION_DISCOUNT, AutoPredictor
+from repro.stats.predictors import AutoPredictor, HistoryWindow, last_known
 from repro.util.errors import ConfigurationError
 
 # Accuracy attached to availability claims about series nobody has
@@ -150,23 +150,25 @@ class TimeframeEvaluator:
         self, series_key: Hashable, series, timeframe: Timeframe, now: float
     ) -> StatMeasure:
         backtester = self.backtester
+        horizon = timeframe.horizon
         # Settle first: any prediction whose horizon has elapsed is scored
         # against the samples that actually landed, so the accuracy stamped
         # below reflects everything known at evaluation time.
         backtester.settle(series_key, series, now)
         resolved = self.resolve_predictor(series_key, timeframe)
+        # One window lookup (and one base summary inside it) serves the
+        # answering model and every shadow candidate alike.
+        history = HistoryWindow(series, now - timeframe.window, now)
         try:
-            measure = self._predictor(resolved, timeframe.window).predict(
-                series, now, timeframe.horizon
+            measure = self._predictor(resolved, timeframe.window).forecast(
+                history, now, horizon
             )
         except ConfigurationError:
             # The evaluation clock ran past this series: its prediction
             # window retains no samples.  Degrade to the last known value
             # (matching the predictors' own too-few-samples fallback)
             # instead of failing the whole query.
-            measure = StatMeasure.constant(series.latest_value()).degraded(
-                0.5 * PREDICTION_DISCOUNT
-            )
+            measure = last_known(series.latest_value())
         if timeframe.predictor == "auto":
             # Shadow-record every candidate so "auto" accumulates the
             # comparative evidence it arbitrates on; without this only the
@@ -175,16 +177,14 @@ class TimeframeEvaluator:
                 if name == resolved:
                     continue
                 try:
-                    shadow = self._predictor(name, timeframe.window).predict(
-                        series, now, timeframe.horizon
+                    shadow = self._predictor(name, timeframe.window).forecast(
+                        history, now, horizon
                     )
                 except Exception:
                     continue  # a model that cannot fit this series scores nothing
-                backtester.record(
-                    series_key, name, timeframe.horizon, now, shadow
-                )
-        backtester.record(series_key, resolved, timeframe.horizon, now, measure)
-        measured = backtester.accuracy(series_key, resolved, timeframe.horizon)
+                backtester.record(series_key, name, horizon, now, shadow)
+        backtester.record(series_key, resolved, horizon, now, measure)
+        measured = backtester.accuracy(series_key, resolved, horizon)
         if measured is not None:
             # Earned accuracy replaces the predictor's fixed prior.
             measure = replace(measure, accuracy=min(1.0, max(0.0, measured)))

@@ -13,9 +13,10 @@ The protocol (documented in full in ``docs/CONCURRENCY.md``):
 * **Writer side** — the sweeper (or, outside the service, the querying
   thread itself) calls :meth:`SnapshotPublisher.refresh`.  If the live
   view's ``(generation, structure_generation, latest timestamp)`` stamp
-  moved, the publisher assembles the successor privately: it clones the
-  metric series copy-on-write (only series whose version advanced since
-  the last publication are re-cloned), shares the topology by reference
+  moved, the publisher assembles the successor privately: it pins every
+  metric series at its current length (a frozen clone shares the live
+  series' append-only sample storage, so no sample is copied), shares the
+  topology by reference
   (collectors replace topology objects, never mutate them structurally in
   place), copies the delta journal, freezes the view, and forks the
   previous epoch's Modeler so delta-driven cache eviction happens *before*
@@ -152,9 +153,6 @@ class SnapshotPublisher:
         self._stats = stats if stats is not None else CacheStats()
         self._lock = threading.Lock()
         self._current: Snapshot | None = None
-        # Copy-on-write memo for frozen series clones; see
-        # MetricsStore.frozen_clone.
-        self._series_cache: dict = {}
         self.publishes = 0
 
     @property
@@ -202,7 +200,7 @@ class SnapshotPublisher:
     def _publish(self, view: NetworkView, stamp: tuple) -> Snapshot:
         """Assemble the successor privately; install it atomically."""
         with obs.span("snapshot.publish") as sp:
-            frozen_metrics = view.metrics.frozen_clone(self._series_cache)
+            frozen_metrics = view.metrics.frozen_clone()
             frozen_view = NetworkView(
                 topology=view.topology,
                 metrics=frozen_metrics,

@@ -16,36 +16,31 @@ try:  # numpy is the optional ``repro[fast]`` accelerator
 except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
     np = None
 
-from repro.stats.quartiles import percentiles
+from repro.stats.quartiles import five_number, sorted_with_mean
+
+# numpy's exp and libm's differ in the last bit for some arguments; each
+# build keeps the one it has always used.
+_exp = math.exp if np is None else np.exp
 
 
-def sample_accuracy(values) -> float:
-    """Accuracy in [0, 1] from sample count and coefficient of variation.
+def quartile_accuracy(n: int, q1: float, median: float, q3: float) -> float:
+    """Accuracy in [0, 1] from a (positive) sample count and its inner quartiles.
 
     * grows with the number of samples (saturating around ~30 samples,
       the usual small-sample threshold);
     * shrinks with relative dispersion (IQR/median), since a highly
       variable series pins down the "true" level less well.
     """
-    if np is not None:
-        values = np.asarray(values, dtype=float)
-        n = values.size
-        if n == 0:
-            return 0.0
-        count_term = 1.0 - np.exp(-n / 10.0)
-        if n == 1:
-            return float(0.5 * count_term)
-        q1, median, q3 = np.percentile(values, [25, 50, 75])
-    else:
-        values = [float(v) for v in values]
-        n = len(values)
-        if n == 0:
-            return 0.0
-        count_term = 1.0 - math.exp(-n / 10.0)
-        if n == 1:
-            return float(0.5 * count_term)
-        q1, median, q3 = percentiles(sorted(values), [25, 50, 75])
+    count_term = 1.0 - _exp(-n / 10.0)
+    if n == 1:
+        return float(0.5 * count_term)
     scale = max(abs(median), 1e-12)
     dispersion = (q3 - q1) / scale
     dispersion_term = 1.0 / (1.0 + dispersion)
     return min(1.0, max(0.0, float(count_term * dispersion_term)))
+
+
+def sample_accuracy(values) -> float:
+    """:func:`quartile_accuracy` of raw samples (0.0 for none)."""
+    ordered, _ = sorted_with_mean(values)
+    return quartile_accuracy(len(ordered), *five_number(ordered)[1:4]) if ordered else 0.0

@@ -79,23 +79,47 @@ def band_coverage(measure: StatMeasure, realized: Iterable[float]) -> float:
     return hits / len(values)
 
 
-def score_accuracy(measure: StatMeasure, realized: Sequence[float]) -> float:
-    """One settled prediction's accuracy in [0, 1].
+def score_prediction(
+    measure: StatMeasure, realized: Iterable[float]
+) -> tuple[float, float, float]:
+    """``(normalized pinball loss, band coverage, accuracy)`` of one settled
+    prediction, in a single pass over the realized samples.
 
-    Combines a loss term (normalized pinball loss — scale-free, so links
-    of very different capacities score comparably) with a coverage term
-    that only penalizes *under*-coverage: a [q1, q3] band catching fewer
-    than its nominal 50% of outcomes is overconfident, while a band that
-    catches more is already paying for its width through the pinball loss.
+    What the :class:`Backtester` folds into a cell; loss and coverage are
+    :func:`pinball_loss` and :func:`band_coverage` to the bit (same
+    arithmetic, same order), the loss divided by the realized scale so
+    links of very different capacities score comparably.  The accuracy
+    multiplies a loss term by a coverage term that only penalizes
+    *under*-coverage: a [q1, q3] band catching fewer than its nominal 50%
+    of outcomes is overconfident, while a band that catches more is
+    already paying for its width through the pinball loss.
     """
     values = sorted(float(v) for v in realized)
-    loss = pinball_loss(measure, values)
-    coverage = band_coverage(measure, values)
+    if not values:
+        raise ValueError("scoring needs at least one realized sample")
+    levels = [
+        (level, level - 1.0, getattr(measure, attr)) for level, attr in QUANTILE_LEVELS
+    ]
+    q1, q3 = measure.q1, measure.q3
+    total = 0.0
+    hits = 0
+    for y in values:
+        for level, below, predicted in levels:
+            diff = y - predicted
+            total += max(level * diff, below * diff)
+        if q1 <= y <= q3:
+            hits += 1
+    coverage = hits / len(values)
     mid = values[len(values) // 2]
     scale = max(abs(mid), max(abs(values[0]), abs(values[-1])) * 0.1, 1e-12)
-    loss_term = 1.0 / (1.0 + loss / scale)
-    coverage_term = min(1.0, coverage / 0.5)
-    return max(0.0, min(1.0, loss_term * coverage_term))
+    nloss = total / (len(values) * len(QUANTILE_LEVELS)) / scale
+    accuracy = (1.0 / (1.0 + nloss)) * min(1.0, coverage / 0.5)
+    return nloss, coverage, max(0.0, min(1.0, accuracy))
+
+
+def score_accuracy(measure: StatMeasure, realized: Sequence[float]) -> float:
+    """One settled prediction's accuracy in [0, 1] (see :func:`score_prediction`)."""
+    return score_prediction(measure, realized)[2]
 
 
 class _Pending:
@@ -227,29 +251,19 @@ class Backtester:
                     if realized.size == 0:
                         self.expired += 1
                         continue
-                    self._score(cell, pending.measure, list(realized))
+                    self._score(cell, pending.measure, realized)
                     settled += 1
                 cell.pending = remaining
             self.settled += settled
             return settled
 
-    def _score(self, cell: _Cell, measure: StatMeasure, realized: list[float]) -> None:
-        values = sorted(float(v) for v in realized)
-        loss = pinball_loss(measure, values)
-        coverage = band_coverage(measure, values)
-        accuracy = score_accuracy(measure, values)
-        mid = values[len(values) // 2]
-        scale = max(abs(mid), max(abs(values[0]), abs(values[-1])) * 0.1, 1e-12)
-        nloss = loss / scale
-        alpha = self._alpha
-        if cell.settled == 0:
-            cell.loss_ewma = nloss
-            cell.coverage_ewma = coverage
-            cell.accuracy_ewma = accuracy
-        else:
-            cell.loss_ewma = alpha * nloss + (1 - alpha) * cell.loss_ewma
-            cell.coverage_ewma = alpha * coverage + (1 - alpha) * cell.coverage_ewma
-            cell.accuracy_ewma = alpha * accuracy + (1 - alpha) * cell.accuracy_ewma
+    def _score(self, cell: _Cell, measure: StatMeasure, realized) -> None:
+        scores = score_prediction(measure, realized)
+        if cell.settled:
+            alpha = self._alpha
+            previous = (cell.loss_ewma, cell.coverage_ewma, cell.accuracy_ewma)
+            scores = [alpha * new + (1 - alpha) * old for new, old in zip(scores, previous)]
+        cell.loss_ewma, cell.coverage_ewma, cell.accuracy_ewma = scores
         cell.settled += 1
 
     def accuracy(

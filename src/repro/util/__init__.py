@@ -1,4 +1,4 @@
-"""Shared utilities: units, errors, ring buffers, deterministic RNG.
+"""Shared utilities: units, errors, deterministic RNG.
 
 These helpers are deliberately dependency-light; every other subpackage may
 import from here, and this package imports nothing else from :mod:`repro`.
@@ -27,7 +27,6 @@ from repro.util.units import (
     gbps,
     kbps,
 )
-from repro.util.ringbuf import RingBuffer
 from repro.util.rng import make_rng, spawn_rng
 
 __all__ = [
@@ -50,7 +49,6 @@ __all__ = [
     "mbps",
     "gbps",
     "kbps",
-    "RingBuffer",
     "make_rng",
     "spawn_rng",
 ]

@@ -16,11 +16,11 @@ def artifacts(tmp_path):
     }))
     (tmp_path / "BENCH_refresh.json").write_text(json.dumps({
         "benchmark": "bench_refresh_cost",
-        "speedup": 8.0,
+        "incremental_rounds_per_s": 8.0,
     }))
     (tmp_path / "BENCH_concurrency.json").write_text(json.dumps({
         "benchmark": "bench_concurrent_queries",
-        "scaling": 4.0,
+        "single_thread_qps": 4.0,
         "best_concurrent_qps": 40.0,
     }))
     (tmp_path / "BENCH_topology.json").write_text(json.dumps({
@@ -41,14 +41,14 @@ class TestCollect:
         collected = bench_history.collect(artifacts)
         assert collected == {
             "bench_ablation_scale": {"engine_speedup": 10.0},
-            "bench_refresh_cost": {"speedup": 8.0},
-            "bench_concurrent_queries": {"scaling": 4.0, "best_concurrent_qps": 40.0},
+            "bench_refresh_cost": {"incremental_rounds_per_s": 8.0},
+            "bench_concurrent_queries": {"single_thread_qps": 4.0, "best_concurrent_qps": 40.0},
             "bench_topology_scale": {"head_to_head_speedup": 16.0},
         }
 
     def test_missing_artifacts_are_skipped(self, tmp_path):
         (tmp_path / "BENCH_refresh.json").write_text(json.dumps({
-            "benchmark": "bench_refresh_cost", "speedup": 8.0,
+            "benchmark": "bench_refresh_cost", "incremental_rounds_per_s": 8.0,
         }))
         assert list(bench_history.collect(tmp_path)) == ["bench_refresh_cost"]
 
@@ -58,7 +58,7 @@ class TestCollect:
 
     def test_non_numeric_metric_is_dropped(self, tmp_path):
         (tmp_path / "BENCH_refresh.json").write_text(json.dumps({
-            "benchmark": "bench_refresh_cost", "speedup": "fast",
+            "benchmark": "bench_refresh_cost", "incremental_rounds_per_s": "fast",
         }))
         assert bench_history.collect(tmp_path) == {}
 
@@ -82,28 +82,28 @@ class TestRecord:
 class TestCheck:
     def test_within_tolerance_passes(self, artifacts, tmp_path):
         baseline = _baseline(tmp_path, {
-            "bench_refresh_cost": {"speedup": 9.0},  # current 8.0 > 9.0*0.8
+            "bench_refresh_cost": {"incremental_rounds_per_s": 9.0},  # current 8.0 > 9.0*0.8
         })
         assert bench_history.check(artifacts, baseline, tolerance=0.2) == 0
 
     def test_regression_fails(self, artifacts, tmp_path):
         baseline = _baseline(tmp_path, {
-            "bench_refresh_cost": {"speedup": 20.0},  # current 8.0 < 20.0*0.8
+            "bench_refresh_cost": {"incremental_rounds_per_s": 20.0},  # current 8.0 < 20.0*0.8
         })
         assert bench_history.check(artifacts, baseline, tolerance=0.2) == 1
 
     def test_improvement_always_passes(self, artifacts, tmp_path):
         baseline = _baseline(tmp_path, {
-            "bench_refresh_cost": {"speedup": 1.0},
+            "bench_refresh_cost": {"incremental_rounds_per_s": 1.0},
         })
         assert bench_history.check(artifacts, baseline, tolerance=0.2) == 0
 
     def test_missing_current_artifact_is_a_warning_not_a_failure(self, tmp_path):
         (tmp_path / "BENCH_refresh.json").write_text(json.dumps({
-            "benchmark": "bench_refresh_cost", "speedup": 8.0,
+            "benchmark": "bench_refresh_cost", "incremental_rounds_per_s": 8.0,
         }))
         baseline = _baseline(tmp_path, {
-            "bench_refresh_cost": {"speedup": 8.0},
+            "bench_refresh_cost": {"incremental_rounds_per_s": 8.0},
             "bench_topology_scale": {"head_to_head_speedup": 16.0},  # absent now
         })
         assert bench_history.check(tmp_path, baseline, tolerance=0.2) == 0

@@ -9,6 +9,7 @@ asserted here against the wire format, not internals.
 import io
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -170,43 +171,50 @@ class TestSlowQueryForensics:
 
 
 class TestCoalescingSpanLinks:
-    def test_followers_link_to_the_leaders_batch_span(self, live):
+    def test_followers_link_to_the_leaders_batch_span(self, live, monkeypatch):
         base, service, _ = live
-        # Coalescing needs genuine overlap; with warm caches a query can
-        # finish before the next thread enqueues, so retry the volley
-        # until at least one request actually followed a leader.
-        linked = []
-        for attempt in range(10):
-            barrier = threading.Barrier(8)
-            results = []
+        # Coalescing needs genuine overlap, so make it: the first batch (the
+        # lone leader) is held inside ``flow_info_batch`` until two more
+        # requests are queued behind it.  Released, one of those two leads
+        # a batch of both and the other follows it.
+        entered, gate = threading.Event(), threading.Event()
+        real_batch = service.remos.flow_info_batch
 
-            def query(i):
-                barrier.wait()
-                marker = f"{i:032x}"
-                status, _, _ = _post(
-                    base + "/flow_info",
-                    {"variable": [{"src": "m-1", "dst": "m-8"}]},
-                    {"traceparent": f"00-{marker}-00f067aa0ba902b7-01"},
-                )
-                results.append(status)
+        def held_batch(queries, timeframe):
+            if not entered.is_set():
+                entered.set()
+                assert gate.wait(timeout=30), "leader was never released"
+            return real_batch(queries, timeframe)
 
-            threads = [
-                threading.Thread(target=query, args=(0xC0FFEE00 + attempt * 8 + i,))
-                for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert results == [200] * 8
-            linked = [
-                record
-                for record in service.slowlog.records()
-                if record["span_tree"] is not None
-                and record["span_tree"].get("links")
-            ]
-            if linked:
-                break
+        monkeypatch.setattr(service.remos, "flow_info_batch", held_batch)
+        results = []
+
+        def query(i):
+            status, _, _ = _post(
+                base + "/flow_info",
+                {"variable": [{"src": "m-1", "dst": "m-8"}]},
+                {"traceparent": f"00-{0xC0FFEE00 + i:032x}-00f067aa0ba902b7-01"},
+            )
+            results.append(status)
+
+        threads = [threading.Thread(target=query, args=(i,)) for i in range(3)]
+        threads[0].start()
+        assert entered.wait(timeout=30), "no request reached flow_info_batch"
+        for t in threads[1:]:
+            t.start()
+        deadline = time.monotonic() + 30
+        while sum(map(len, service._queue.values())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        gate.set()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [200] * 3
+        linked = [
+            record
+            for record in service.slowlog.records()
+            if record["span_tree"] is not None and record["span_tree"].get("links")
+        ]
         assert linked, "expected at least one follower with a span link"
         link = linked[0]["span_tree"]["links"][0]
         assert link["attributes"]["role"] == "coalescing_leader"

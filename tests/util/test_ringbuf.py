@@ -1,11 +1,17 @@
-"""Ring buffer tests, including a hypothesis model check against a deque."""
+"""Ring buffer tests, including a hypothesis model check against a deque.
+
+``RingBuffer`` left ``src/`` with the columnar ``TimeSeries``; it survives
+as the storage of the frozen ring-buffer series oracle, and these tests
+keep that oracle honest.
+"""
 
 from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util import ConfigurationError, RingBuffer
+from repro.util import ConfigurationError
+from tests.stats._oracles import RingBuffer
 
 
 class TestBasics:
