@@ -40,6 +40,17 @@ from repro.util.errors import ConfigurationError
 UNMEASURED_ACCURACY = 0.25
 
 
+def _floored(measure: StatMeasure) -> StatMeasure:
+    """*measure* with no quantile below zero: *used* bandwidth and CPU load
+    never are, and a forecast that says otherwise (history's spread carried
+    around a low centre) would let ``complement_of`` grant more than the
+    link holds."""
+    if not measure.minimum < 0.0:
+        return measure
+    levels = ("minimum", "q1", "median", "q3", "maximum", "mean")
+    return replace(measure, **{name: max(0.0, getattr(measure, name)) for name in levels})
+
+
 def current_window_width(series) -> float:
     """The trailing window CURRENT derives its accuracy from.
 
@@ -159,10 +170,15 @@ class TimeframeEvaluator:
         # One window lookup (and one base summary inside it) serves the
         # answering model and every shadow candidate alike.
         history = HistoryWindow(series, now - timeframe.window, now)
+
+        def forecast(name: str) -> StatMeasure:
+            # Floored here and nowhere else, answering and shadow measures
+            # alike, so the backtester scores exactly what is served.
+            model = self._predictor(name, timeframe.window)
+            return _floored(model.forecast(history, now, horizon))
+
         try:
-            measure = self._predictor(resolved, timeframe.window).forecast(
-                history, now, horizon
-            )
+            measure = forecast(resolved)
         except ConfigurationError:
             # The evaluation clock ran past this series: its prediction
             # window retains no samples.  Degrade to the last known value
@@ -177,9 +193,7 @@ class TimeframeEvaluator:
                 if name == resolved:
                     continue
                 try:
-                    shadow = self._predictor(name, timeframe.window).forecast(
-                        history, now, horizon
-                    )
+                    shadow = forecast(name)
                 except Exception:
                     continue  # a model that cannot fit this series scores nothing
                 backtester.record(series_key, name, horizon, now, shadow)
