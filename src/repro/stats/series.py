@@ -57,7 +57,6 @@ class TimeSeries:
         self._values: list[float] = []
         self._start = 0
         self._stop = 0
-        self._last_time = -float("inf")
         self._version = 0
         self._frozen = False
 
@@ -113,11 +112,10 @@ class TimeSeries:
                 f"series {self.name!r} is frozen (published in a snapshot); "
                 "append to the live collector series instead"
             )
-        if time < self._last_time:
+        if self._stop > self._start and time < self._times[self._stop - 1]:
             raise ConfigurationError(
-                f"series {self.name!r}: sample time {time} precedes {self._last_time}"
+                f"series {self.name!r}: sample time {time} precedes {self._times[self._stop - 1]}"
             )
-        self._last_time = time
         self._version += 1
         self._times.append(float(time))
         self._values.append(float(value))
