@@ -9,7 +9,11 @@ max-min pressure index).  They exist for two reasons:
   ``tests/fairshare/test_maxmin_differential.py``) assert the optimised
   kernels produce **bit-identical** routes, rates and bottlenecks;
 * ``bench_ablation_scale.py`` times them against the optimised engine to
-  record the speedup trajectory in ``BENCH_scale.json``.
+  record the speedup trajectory in ``BENCH_scale.json``;
+* :func:`capacity_snapshots_full` is the eager whole-network pricing the
+  lazy capacity views replaced — ``tests/core/test_hierarchical_collapse.py``
+  and ``bench_topology_scale.py`` evaluate flow queries against it to prove
+  the pruned reads answer-preserving.
 
 Do not "fix" or optimise this module — its value is being frozen.
 """
@@ -266,3 +270,15 @@ def reference_allocate_three_stage(capacities, fixed=None, variable=None, indepe
         current = result.residual_capacity
 
     return rates, satisfied, bottlenecks, current
+
+
+def capacity_snapshots_full(modeler, timeframe) -> dict[str, dict[Hashable, float]]:
+    """Eager whole-network capacity dicts, one per evaluation quantile.
+
+    The flat baseline ``Remos._evaluate_flow_query`` accepts in place of
+    its own lazy reads.
+    """
+    return {
+        level: modeler.available_capacities(timeframe, quantile=level)
+        for level in ("minimum", "q1", "median", "q3", "maximum", "mean")
+    }

@@ -42,7 +42,7 @@ BASELINE_PATH = REPO_ROOT / "benchmarks" / "baseline.json"
 HEADLINE_METRICS: dict[str, dict[str, str]] = {
     "BENCH_scale.json": {
         "engine_speedup": "engine_speedup.speedup",
-        "vectorized_speedup": "vectorized_speedup.speedup",
+        "vectorized_batches_per_s": "vectorized_kernel.batches_per_s",
     },
     "BENCH_refresh.json": {"incremental_rounds_per_s": "incremental_rounds_per_s"},
     "BENCH_concurrency.json": {

@@ -43,6 +43,7 @@ from repro.core import AUTO_COLLAPSE_THRESHOLD, Flow, FlowQuery, Remos, Timefram
 from repro.net import fat_tree, leaf_spine
 
 from benchmarks._experiments import emit
+from benchmarks._reference import capacity_snapshots_full
 
 _results: dict = {}
 
@@ -194,7 +195,7 @@ def test_fat_tree_head_to_head(benchmark):
         # graph over every host, eager whole-network capacity snapshots.
         t0 = time.perf_counter()
         flat_graph = remos.get_graph(hosts, timeframe, collapse="flat")
-        snapshots = Remos._capacity_snapshots_full(modeler, timeframe)
+        snapshots = capacity_snapshots_full(modeler, timeframe)
         full = [
             remos._evaluate_flow_query(
                 modeler, [], list(query.variable), [], timeframe, snapshots
@@ -239,7 +240,7 @@ def test_smoke_fat_tree_collapse(benchmark):
         scenarios = leave_one_out_scenarios(query_hosts)
         pruned = remos.flow_info_batch(scenarios, timeframe)
         modeler = remos._modeler()
-        snapshots = Remos._capacity_snapshots_full(modeler, timeframe)
+        snapshots = capacity_snapshots_full(modeler, timeframe)
         full = [
             remos._evaluate_flow_query(
                 modeler, [], list(query.variable), [], timeframe, snapshots

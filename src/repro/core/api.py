@@ -30,7 +30,7 @@ from repro.collector.base import Collector, NetworkView
 from repro.core.cachestats import CacheStats
 from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, FlowQuery, MulticastFlow
 from repro.core.graph import RemosGraph
-from repro.core.modeler import CapacityView, Modeler
+from repro.core.modeler import Modeler
 from repro.core import snaparrays as _snaparrays
 from repro.core.snapshot import Snapshot, SnapshotPublisher
 from repro.core.timeframe import Timeframe
@@ -238,11 +238,8 @@ class Remos:
                 modeler = self._modeler()
                 if sp:
                     hits, misses = self.cache_stats.hits, self.cache_stats.misses
-                snapshots = self._capacity_snapshots(modeler, timeframe)
-                caches = _snaparrays.BatchCaches(modeler, timeframe)
                 result = self._evaluate_flow_query(
-                    modeler, fixed, variable, independent, timeframe, snapshots,
-                    caches,
+                    modeler, fixed, variable, independent, timeframe
                 )
                 if sp:
                     self._annotate_query_span(sp, modeler, hits, misses)
@@ -266,10 +263,11 @@ class Remos:
         Each :class:`FlowQuery` scenario is evaluated exactly as a separate
         :meth:`flow_info` call would be — identical rates, bottlenecks and
         satisfaction — but the expensive per-query work is shared across
-        the batch: the six per-quantile availability snapshots are computed
-        once, route resolution (and the lazy routing tables beneath it) is
-        reused, and each scenario's allocation runs against only the
-        capacities its flows actually cross.  Scenario sweeps such as the
+        the batch and, through the epoch's price memo, with every other
+        query of the epoch: each crossed resource is priced once, route
+        resolution (and the lazy routing tables beneath it) is reused, and
+        each scenario's allocation runs against only the capacities its
+        flows actually cross.  Scenario sweeps such as the
         greedy node-selection heuristic in :mod:`repro.adapt` are the
         intended callers.
 
@@ -286,8 +284,6 @@ class Remos:
                 modeler = self._modeler()
                 if sp:
                     hits, misses = self.cache_stats.hits, self.cache_stats.misses
-                snapshots = self._capacity_snapshots(modeler, timeframe)
-                caches = _snaparrays.BatchCaches(modeler, timeframe)
                 results = [
                     self._evaluate_flow_query(
                         modeler,
@@ -295,8 +291,6 @@ class Remos:
                         list(scenario.variable),
                         list(scenario.independent),
                         timeframe,
-                        snapshots,
-                        caches,
                     )
                     for scenario in scenarios
                 ]
@@ -310,37 +304,6 @@ class Remos:
             finally:
                 self._end_query(started, "flow_info_batch")
 
-    @staticmethod
-    def _capacity_snapshots(
-        modeler: Modeler, timeframe: Timeframe
-    ) -> dict[str, CapacityView]:
-        """One lazy availability view per evaluation quantile.
-
-        The views compute only the resources the queried flows cross —
-        values bit-identical to the eager whole-network dicts of
-        :meth:`_capacity_snapshots_full` (the pruning argument: uncrossed
-        resources never influence a max-min allocation), at a cost that
-        scales with the flows instead of the network.
-        """
-        return {
-            level: modeler.capacity_view(timeframe, quantile=level)
-            for level in (*_LEVELS, "mean")
-        }
-
-    @staticmethod
-    def _capacity_snapshots_full(
-        modeler: Modeler, timeframe: Timeframe
-    ) -> dict[str, dict[Hashable, float]]:
-        """Eager whole-network snapshots: the flat baseline.
-
-        The differential suite and the scale benchmark evaluate flow
-        queries against these to prove the lazy views answer-preserving.
-        """
-        return {
-            level: modeler.available_capacities(timeframe, quantile=level)
-            for level in (*_LEVELS, "mean")
-        }
-
     def _evaluate_flow_query(
         self,
         modeler: Modeler,
@@ -348,17 +311,29 @@ class Remos:
         variable: list[Flow],
         independent: list[Flow],
         timeframe: Timeframe,
-        snapshots: "dict[str, CapacityView] | dict[str, dict[Hashable, float]]",
-        caches: "_snaparrays.BatchCaches | None" = None,
+        snapshots: "dict[str, dict[Hashable, float]] | None" = None,
     ) -> FlowInfoResult:
-        # Large all-unicast scenarios run through the array evaluator —
-        # same validation, same staged solve, bit-identical answers
-        # (repro.core.snaparrays); everything else takes the scalar path
-        # below, which doubles as the no-numpy fallback and the oracle.
-        if caches is not None and caches.usable(fixed, variable, independent):
-            return _snaparrays.evaluate_flow_query(
-                modeler, fixed, variable, independent, timeframe, snapshots, caches
-            )
+        """One scenario's answer against *modeler*'s epoch.
+
+        *snapshots* (one capacity mapping per evaluation quantile) is for
+        differential tests that supply eager whole-network dicts; they get
+        the scalar path below.  Queries leave it out and read the epoch's
+        prices instead — large all-unicast scenarios through the array
+        evaluator (same validation, same staged solve, bit-identical
+        answers: ``repro.core.snaparrays``), everything else through lazy
+        capacity views, which price only the resources the flows cross
+        (uncrossed resources never influence a max-min allocation).  The
+        scalar path doubles as the no-numpy fallback and the oracle.
+        """
+        if snapshots is None:
+            if _snaparrays.vectorizable(fixed, variable, independent):
+                return _snaparrays.evaluate_flow_query(
+                    modeler, fixed, variable, independent, timeframe
+                )
+            snapshots = {
+                level: modeler.capacity_view(timeframe, quantile=level)
+                for level in (*_LEVELS, "mean")
+            }
         topology = modeler.view.topology
         for flow in (*fixed, *variable, *independent):
             endpoints = (flow.src, *flow.dsts) if isinstance(flow, MulticastFlow) else (
@@ -411,7 +386,11 @@ class Remos:
         median_allocation = None
         for level in (*_LEVELS, "mean"):
             full = snapshots[level]
-            capacities = {key: full[key] for key in keys if key in full}
+            capacities = {}
+            for key in keys:
+                value = full.get(key)  # one read; None = constrains nothing
+                if value is not None:
+                    capacities[key] = value
             allocation = problem.solve(capacities)
             rates_by_level[level] = allocation.rates
             if level == "median":

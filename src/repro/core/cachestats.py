@@ -41,7 +41,7 @@ class CacheStats:
         Total wall-clock seconds spent answering those queries.
     per_cache:
         ``{cache name: {"hits": n, "misses": n}}`` breakdown; cache names
-        are ``"bandwidth"``, ``"cpu"``, ``"capacities"`` and ``"graph"``.
+        are ``"bandwidth"``, ``"cpu"`` and ``"graph"``.
     """
 
     hits: int = 0
@@ -62,11 +62,11 @@ class CacheStats:
 
     # -- recording (called by Modeler / Remos) ---------------------------------
 
-    def hit(self, cache: str) -> None:
-        """Record a lookup served from *cache*."""
+    def hit(self, cache: str, count: int = 1) -> None:
+        """Record *count* lookups served from *cache* under one lock hold."""
         with self.lock:
-            self.hits += 1
-            self._bucket(cache)["hits"] += 1
+            self.hits += count
+            self._bucket(cache)["hits"] += count
 
     def miss(self, cache: str) -> None:
         """Record a lookup *cache* had to compute."""

@@ -16,12 +16,20 @@ entries, only the touched resources are evicted — per-direction estimates
 additionally carry a ``(series version, evaluation time)`` stamp proving
 the summarised window did not move, so untouched entries survive sweeps
 bit-for-bit.  Structural deltas (or journal gaps) fall back to the old
-drop-everything behaviour.  The staleness contract and the full
-performance model are documented in ``docs/PERFORMANCE.md``.
+drop-everything behaviour.
+
+On top of the validated estimates sits the **price memo**: per timeframe,
+what each allocation resource offers (capacity minus external use) for
+the current stamp.  A resource is priced once per epoch — one entry
+validation, one ``complement_of`` — and every later read by any query
+path (array evaluator, lazy capacity views, admission, the federation
+pin, graph annotation) is a plain dict lookup.  The staleness contract
+and the full performance model are documented in ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Hashable
 
 from repro import obs
@@ -48,7 +56,31 @@ __all__ = ["Modeler", "CapacityView", "UNMEASURED_ACCURACY"]
 # keeps its byte-identical answer.
 AUTO_COLLAPSE_THRESHOLD = 64
 
+# Timeframes priced at once per epoch; the oldest table is evicted (and
+# refilled on demand) beyond this.  Each costs one measure per crossed
+# resource plus six floats per interned id.
+_MAX_PRICED_TIMEFRAMES = 8
+
 _log = obs.get_logger("repro.core.modeler")
+
+
+class _PriceTable:
+    """One timeframe's prices for one epoch.
+
+    ``measures`` maps a resource key to what it offers (a link direction's
+    available-bandwidth measure, a finite crossbar's constant); ``arrays``
+    is its projection onto keyspace ids, attached by
+    :class:`~repro.core.snaparrays.SnapshotArrays` on first vectorized use.
+    ``counted`` is False for STATIC, whose reads never stood in for a
+    series summary and so never counted as cache hits.
+    """
+
+    __slots__ = ("measures", "arrays", "counted")
+
+    def __init__(self, timeframe: Timeframe):
+        self.measures: dict[Hashable, StatMeasure] = {}
+        self.arrays = None
+        self.counted = timeframe.kind is not TimeframeKind.STATIC
 
 
 class _Entry:
@@ -114,8 +146,13 @@ class Modeler:
         self.evaluator = evaluator if evaluator is not None else TimeframeEvaluator()
         self._bandwidth_cache: dict[tuple, _Entry] = {}
         self._cpu_cache: dict[tuple, _Entry] = {}
-        self._capacities_cache: dict[tuple, dict[Hashable, float]] = {}
         self._graph_cache: dict[tuple, _GraphEntry] = {}
+        # The price memo: valid for ``_cache_stamp`` only, so it is replaced
+        # wholesale whenever the stamp moves and never carried across forks.
+        self._prices: dict[Timeframe, _PriceTable] = {}
+        self._prices_lock = threading.Lock()
+        # A frozen view's stamp can never move: skip the stamp check.
+        self._pinned = view.frozen
         # Route → resource-key memo; purely structural (routes + static
         # crossbar finiteness), so it outlives generations and is dropped
         # only when the routing table itself is replaced.
@@ -131,8 +168,9 @@ class Modeler:
         # "whole-network graph went flat" warning is one-time per structure
         # (the counter keeps counting every fallback query).
         self._slow_path_warned: int | None = None
-        # Per-epoch array materialisation for the vectorized query path
-        # (repro.core.snaparrays); built lazily on first vectorized query.
+        # Array materialisation for the vectorized query path
+        # (repro.core.snaparrays); built lazily on first vectorized query,
+        # its structural half shared across forks like ``_route_resources``.
         self._snaparrays = None
         # Structure level last synchronised against; advancing past it
         # means the topology changed under us (in place), so routing and
@@ -153,21 +191,19 @@ class Modeler:
     def _refresh_caches(self, force: bool = False) -> None:
         """Synchronise caches with the view's stamps.
 
-        A metrics-only delta chain evicts just the touched entries and
-        patches the whole-world ``capacities`` dicts in place (one pass
-        through the surviving per-direction cache).  Anything the journal
-        cannot vouch for — a structural delta, a gap, a hand bump, a rebind
-        — drops every dynamic cache as before.
+        A metrics-only delta chain evicts just the touched entries.
+        Anything the journal cannot vouch for — a structural delta, a gap,
+        a hand bump, a rebind — drops every dynamic cache as before.  The
+        price memo is exact for one stamp only and is dropped either way.
         """
         stamp = self._view_stamp()
         if not force and stamp == self._cache_stamp:
             return
+        self._prices = {}
         chain = None
         if not force and stamp[0] != self._cache_stamp[0]:
             chain = self.view.deltas_since(self._cache_stamp[0])
         if chain is not None and not any(delta.is_structural for delta in chain):
-            # Set the stamp first: the capacity-patching path below may
-            # re-enter via _used_bandwidth, which must see us up to date.
             self._cache_stamp = stamp
             self._evict_touched(chain)
             return
@@ -176,12 +212,7 @@ class Modeler:
             cause = "structural"
         else:
             cause = "rebind" if force else "generation"
-        if (
-            self._bandwidth_cache
-            or self._cpu_cache
-            or self._capacities_cache
-            or self._graph_cache
-        ):
+        if self._bandwidth_cache or self._cpu_cache or self._graph_cache:
             self.stats.invalidated()
             obs.inc(
                 "remos_cache_invalidations_by_cause_total",
@@ -196,12 +227,10 @@ class Modeler:
                     cause=cause,
                     entries=len(self._bandwidth_cache)
                     + len(self._cpu_cache)
-                    + len(self._capacities_cache)
                     + len(self._graph_cache),
                 )
         self._bandwidth_cache.clear()
         self._cpu_cache.clear()
-        self._capacities_cache.clear()
         self._graph_cache.clear()
         self._cache_stamp = stamp
 
@@ -233,7 +262,6 @@ class Modeler:
             for key in [key for key in self._cpu_cache if key[0] in cpu_hosts]:
                 del self._cpu_cache[key]
                 evicted += 1
-        evicted += self._patch_capacities()
         self.stats.partially_invalidated(evicted)
         obs.inc(
             "remos_cache_invalidations_by_cause_total",
@@ -253,48 +281,6 @@ class Modeler:
                 deltas=len(chain),
             )
 
-    def _patch_capacities(self) -> int:
-        """Repair cached whole-world capacities dicts in place; returns patches.
-
-        A metrics-only sweep changes at most the touched directions plus any
-        untouched direction whose summary window shifted when the evaluation
-        clock advanced — exactly the directions whose bandwidth-cache slot
-        fails validation.  One pass over the directions recomputes those and
-        patches every cached ``(timeframe, quantile)`` dict, so steady-state
-        allocation runs keep hitting the capacities cache instead of
-        re-deriving the whole world from the per-direction entries.
-        """
-        if not self._capacities_cache:
-            return 0
-        by_timeframe: dict[Timeframe, list[str]] = {}
-        for timeframe, quantile in self._capacities_cache:
-            by_timeframe.setdefault(timeframe, []).append(quantile)
-        now = self.now
-        patched = 0
-        for timeframe, quantiles in by_timeframe.items():
-            if timeframe.kind is TimeframeKind.STATIC:
-                continue  # capacity-only: no metric dependence
-            for direction in self.view.topology.iter_directions():
-                entry = self._bandwidth_cache.get((direction.key, timeframe))
-                if entry is not None and (
-                    self._validate_entry(
-                        entry,
-                        direction.link.name,
-                        direction.src,
-                        timeframe,
-                        now,
-                    )
-                    is not None
-                ):
-                    continue
-                available = self._available_bandwidth(direction, timeframe, now)
-                for quantile in quantiles:
-                    self._capacities_cache[(timeframe, quantile)][
-                        direction.key
-                    ] = getattr(available, quantile)
-                patched += 1
-        return patched
-
     def sync_structure(self) -> None:
         """Revalidate routing after an in-place structure change.
 
@@ -309,13 +295,20 @@ class Modeler:
         if self.view.structure_generation == self._seen_structure:
             return
         if not self.routing.is_valid_for(self.view.topology):
-            self.routing = RoutingTable(self.view.topology)
-            self.stats.routing_rebuilds += 1
-            self._route_resources.clear()
+            self._replace_routing(self.view.topology)
         elif self.routing.topology is not self.view.topology:
             self.routing.rebase(self.view.topology)
         self._sync_collapse()
         self._seen_structure = self.view.structure_generation
+
+    def _replace_routing(self, topology) -> None:
+        """New routes: drop everything keyed on the old ones."""
+        self.routing = RoutingTable(topology)
+        self.stats.routing_rebuilds += 1
+        self._route_resources.clear()
+        # Interned ids die with the rows, and the price arrays index by id.
+        self._snaparrays = None
+        self._prices = {}
 
     def _sync_collapse(self) -> None:
         """Keep or drop the collapse tree after a (possible) structure change."""
@@ -407,14 +400,13 @@ class Modeler:
         with obs.span("modeler.refresh") as sp:
             rebuilt = not self.routing.is_valid_for(view.topology)
             if rebuilt:
-                self.routing = RoutingTable(view.topology)
-                self.stats.routing_rebuilds += 1
-                self._route_resources.clear()
+                self._replace_routing(view.topology)
             elif self.routing.topology is not view.topology:
                 # Structurally identical rebuild: keep the table, re-point
                 # it so later validity checks are O(1) identity again.
                 self.routing.rebase(view.topology)
             self.view = view
+            self._pinned = view.frozen
             self._sync_collapse()
             self._seen_structure = view.structure_generation
             self._refresh_caches(force=True)
@@ -447,8 +439,13 @@ class Modeler:
           "now"s, so wrappers must never be shared across snapshots;
         * when *view*'s journal can vouch for the step as metrics-only,
           the copied caches are reconciled immediately (same partial
-          eviction + capacity patching as before); otherwise the child
-          starts cold, exactly like the legacy rebind.
+          eviction as before); otherwise the child starts cold, exactly
+          like the legacy rebind;
+        * the price memo is a per-epoch fact and starts empty: the first
+          read of a resource revalidates its carried estimate once, and
+          the child's stamp never moves again, so that price stands for
+          the epoch.  The structural half of the array materialisation
+          (interned keys, route rows) is shared with the routing table.
 
         Readers of the published child therefore only ever *fill* caches —
         no eviction, no restamping hazards — because a frozen view's stamp
@@ -461,6 +458,10 @@ class Modeler:
         # Fresh per-epoch evaluator sharing the parent's Backtester, so
         # forecast accuracy keeps accruing across snapshot publications.
         child.evaluator = self.evaluator.fork()
+        child._prices = {}
+        child._prices_lock = threading.Lock()
+        child._pinned = view.frozen
+        child._snaparrays = None
         if self.routing.is_valid_for(view.topology):
             child.routing = self.routing
             if self.routing.topology is not view.topology:
@@ -468,6 +469,8 @@ class Modeler:
             # Shared on purpose: purely structural, identical for both
             # epochs, and concurrent fills insert identical tuples.
             child._route_resources = self._route_resources
+            if self._snaparrays is not None:
+                child._snaparrays = self._snaparrays.fork(child)
         else:
             child.routing = RoutingTable(view.topology)
             self.stats.routing_rebuilds += 1
@@ -480,9 +483,6 @@ class Modeler:
         # Carried so the flat-fallback warning stays one-time across epochs
         # of the same structure.
         child._slow_path_warned = self._slow_path_warned
-        # Array materialisation is cheap to rebuild and partly dynamic;
-        # each epoch's modeler starts with a fresh one.
-        child._snaparrays = None
         if self._collapse is not None and self._collapse.is_valid_for(view.topology):
             if self._collapse.topology is not view.topology:
                 self._collapse.rebase(view.topology)
@@ -497,21 +497,20 @@ class Modeler:
             chain = view.deltas_since(self._cache_stamp[0])
             carry = chain is not None and not any(d.is_structural for d in chain)
         if carry:
+            # Readers of this (still published) epoch keep filling these
+            # dicts while the writer forks: list() takes an atomic copy of
+            # the items, which iterating the live dict would not survive.
             child._bandwidth_cache = {
                 key: _Entry(entry.version, entry.now_used, entry.measure)
-                for key, entry in self._bandwidth_cache.items()
+                for key, entry in list(self._bandwidth_cache.items())
             }
             child._cpu_cache = {
                 key: _Entry(entry.version, entry.now_used, entry.measure)
-                for key, entry in self._cpu_cache.items()
-            }
-            child._capacities_cache = {
-                key: dict(capacities)
-                for key, capacities in self._capacities_cache.items()
+                for key, entry in list(self._cpu_cache.items())
             }
             child._graph_cache = {
                 key: _GraphEntry(entry.graph, entry.link_names, entry.now_used)
-                for key, entry in self._graph_cache.items()
+                for key, entry in list(self._graph_cache.items())
             }
             # Reconcile against the frozen stamps now, so the partial
             # eviction (and its stats) happens before publication.
@@ -519,15 +518,9 @@ class Modeler:
         else:
             child._bandwidth_cache = {}
             child._cpu_cache = {}
-            child._capacities_cache = {}
             child._graph_cache = {}
             child._cache_stamp = stamp
-            if (
-                self._bandwidth_cache
-                or self._cpu_cache
-                or self._capacities_cache
-                or self._graph_cache
-            ):
+            if self._bandwidth_cache or self._cpu_cache or self._graph_cache:
                 cause = "structural" if chain is not None else "generation"
                 self.stats.invalidated()
                 obs.inc(
@@ -607,8 +600,67 @@ class Modeler:
     def _available_bandwidth(
         self, direction: LinkDirection, timeframe: Timeframe, now: float | None
     ) -> StatMeasure:
-        used = self._used_bandwidth(direction, timeframe, now)
-        return used.complement_of(direction.capacity)
+        """The direction's price for this stamp: computed once, then read."""
+        table = self._price_table(timeframe)
+        price = table.measures.get(direction.key)
+        if price is None:
+            used = self._used_bandwidth(direction, timeframe, now)
+            price = table.measures[direction.key] = used.complement_of(
+                direction.capacity
+            )
+        elif table.counted:
+            self.stats.hit("bandwidth")
+        return price
+
+    def _price_table(self, timeframe: Timeframe) -> _PriceTable:
+        """The current stamp's price table for *timeframe*.
+
+        Lock-free on a hit; creation (and eviction of the oldest table
+        beyond ``_MAX_PRICED_TIMEFRAMES``) is serialised.  With caching
+        disabled every call gets a throwaway table, so nothing is reused.
+        """
+        if not self.enable_cache:
+            return _PriceTable(timeframe)
+        if not self._pinned:
+            self._refresh_caches()
+        table = self._prices.get(timeframe)
+        if table is None:
+            with self._prices_lock:
+                prices = self._prices
+                table = prices.get(timeframe)
+                if table is None:
+                    if len(prices) >= _MAX_PRICED_TIMEFRAMES:
+                        del prices[next(iter(prices))]
+                    table = prices[timeframe] = _PriceTable(timeframe)
+        return table
+
+    def resource_price(self, key: Hashable, timeframe: Timeframe) -> StatMeasure:
+        """What the allocation resource *key* offers for *timeframe*.
+
+        A link direction offers its available bandwidth; a finite node
+        crossbar its static internal bandwidth, as a constant (SNMP exposes
+        no crossbar utilization).  Raises :class:`KeyError` for anything
+        else — infinite crossbars and unknown resources constrain nothing.
+        """
+        table = self._price_table(timeframe)
+        price = table.measures.get(key)
+        if price is not None:
+            if table.counted:
+                self.stats.hit("bandwidth")
+            return price
+        topology = self.view.topology
+        try:
+            if isinstance(key, tuple) and len(key) == 2 and key[0] == "xbar":
+                bandwidth = topology.node(key[1]).internal_bandwidth
+                if bandwidth == float("inf"):
+                    raise KeyError(key)
+                price = table.measures[key] = StatMeasure.constant(bandwidth)
+                return price
+            link_name, src, dst = key  # type: ignore[misc]
+            direction = topology.link(link_name).direction(src, dst)
+        except (TopologyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        return self.available_bandwidth(direction, timeframe)
 
     def cpu_load(self, host: str, timeframe: Timeframe) -> StatMeasure:
         """CPU utilization (0..1) of a host for a timeframe.
@@ -655,30 +707,16 @@ class Modeler:
     def available_capacities(
         self, timeframe: Timeframe, quantile: str = "median"
     ) -> dict[Hashable, float]:
-        """Scalar resource capacities for one allocation run.
+        """Scalar capacities of every resource in the network, eagerly.
 
         Directed links contribute their available bandwidth at *quantile*
         (``"minimum"``/``"q1"``/``"median"``/``"q3"``/``"maximum"``/
         ``"mean"``); finite node crossbars contribute their static internal
-        bandwidth (SNMP exposes no crossbar utilization).
-
-        Memoised per ``(timeframe, quantile)``; the six-quantile sweep
-        ``flow_info`` runs shares one set of per-direction measures through
-        the bandwidth cache, and the dicts survive metrics-only sweeps —
-        ``_patch_capacities`` repairs just the stale slots.  Callers get
-        their own dict copy.
+        bandwidth.  Queries read only what their flows cross, through
+        :meth:`capacity_view`; this whole-world form is the oracle tests and
+        benchmarks compare those reads against.
         """
-        if self.enable_cache:
-            self._refresh_caches()
-            key = (timeframe, quantile)
-            cached = self._capacities_cache.get(key)
-            if cached is not None:
-                self.stats.hit("capacities")
-                return dict(cached)
-            self.stats.miss("capacities")
-        # Hoist "now" out of the per-direction loop: one sweep = one query
-        # evaluation time, regardless of caching.
-        now = self.now
+        now = self.now  # one evaluation time for the whole sweep
         capacities: dict[Hashable, float] = {}
         for direction in self.view.topology.iter_directions():
             available = self._available_bandwidth(direction, timeframe, now)
@@ -686,35 +724,31 @@ class Modeler:
         for node in self.view.topology.nodes:
             if node.internal_bandwidth != float("inf"):
                 capacities[("xbar", node.name)] = node.internal_bandwidth
-        if self.enable_cache:
-            self._capacities_cache[(timeframe, quantile)] = dict(capacities)
         return capacities
 
     def capacity_view(self, timeframe: Timeframe, quantile: str = "median") -> "CapacityView":
         """A lazy view of :meth:`available_capacities` for one quantile.
 
         Flow and admission queries only ever read the resources their
-        flows cross; the view computes exactly those on demand — values
+        flows cross; the view prices exactly those on demand — values
         bit-identical to the eager whole-network dict — so per-query cost
         scales with the flows, not with the network (see
-        ``docs/TOPOLOGIES.md``).  When the eager dict happens to be warm
-        in the capacities cache it is served directly.
+        ``docs/TOPOLOGIES.md``).
         """
         return CapacityView(self, timeframe, quantile)
 
     def snapshot_arrays(self):
-        """The per-epoch :class:`~repro.core.snaparrays.SnapshotArrays`.
+        """This modeler's :class:`~repro.core.snaparrays.SnapshotArrays`.
 
-        Lazily built (numpy paths only) and revalidated against in-place
-        structural change; a published snapshot's modeler keeps one for
-        its lifetime, shared by all reader threads.
+        Lazily built (numpy paths only); a published snapshot's modeler
+        keeps one for its lifetime, shared by all reader threads.
         """
         from repro.core.snaparrays import SnapshotArrays
 
+        self.sync_structure()
         arrays = self._snaparrays
         if arrays is None:
             arrays = self._snaparrays = SnapshotArrays(self)
-        arrays.sync()
         return arrays
 
     def resources_for_route(self, src: str, dst: str) -> tuple[Hashable, ...]:
@@ -1200,56 +1234,23 @@ class CapacityView:
     """Lazy stand-in for one ``available_capacities(timeframe, quantile)`` dict.
 
     Supports exactly the read protocol the allocation paths use (``in``,
-    ``[]``, ``.get``); each value is computed on first access from the same
-    memoised per-direction estimates the eager dict would read, so every
-    value served is bit-identical to the eager dict's entry for that key.
-    Absent keys stay absent: infinite crossbars are not materialised, and
-    unknown resources miss exactly like a dict.  When the eager dict is
-    already warm in the capacities cache it is served directly.
-
-    A view is a per-query object: it pins the evaluation time at
-    construction (one query, one "now") and must not be kept across sweeps.
+    ``[]``, ``.get``): a quantile selector over the modeler's price memo,
+    so every value served is bit-identical to the eager dict's entry for
+    that key and six views over one timeframe price each resource once
+    between them.  Absent keys stay absent: infinite crossbars are not
+    materialised, and unknown resources miss exactly like a dict.
     """
 
-    __slots__ = ("_modeler", "_timeframe", "_quantile", "_now", "_memo", "_full")
+    __slots__ = ("_modeler", "_timeframe", "_quantile")
 
     def __init__(self, modeler: Modeler, timeframe: Timeframe, quantile: str):
         self._modeler = modeler
         self._timeframe = timeframe
         self._quantile = quantile
-        self._full: dict[Hashable, float] | None = None
-        if modeler.enable_cache:
-            modeler._refresh_caches()
-            self._full = modeler._capacities_cache.get((timeframe, quantile))
-        self._now = modeler.now
-        self._memo: dict[Hashable, float] = {}
 
     def __getitem__(self, key: Hashable) -> float:
-        if self._full is not None:
-            return self._full[key]
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        value = self._compute(key)  # raises KeyError when absent
-        memo[key] = value
-        return value
-
-    def _compute(self, key: Hashable) -> float:
-        topology = self._modeler.view.topology
-        try:
-            if isinstance(key, tuple) and len(key) == 2 and key[0] == "xbar":
-                bandwidth = topology.node(key[1]).internal_bandwidth
-                if bandwidth == float("inf"):
-                    raise KeyError(key)  # the eager dict omits infinite crossbars
-                return bandwidth
-            link_name, src, dst = key  # type: ignore[misc]
-            direction = topology.link(link_name).direction(src, dst)
-        except (TopologyError, TypeError, ValueError):
-            raise KeyError(key) from None
-        measure = self._modeler._available_bandwidth(
-            direction, self._timeframe, self._now
-        )
-        return getattr(measure, self._quantile)
+        price = self._modeler.resource_price(key, self._timeframe)
+        return getattr(price, self._quantile)
 
     def get(self, key: Hashable, default=None):
         """Dict-style lookup with a default, as ``admission_report`` uses."""
@@ -1259,10 +1260,8 @@ class CapacityView:
             return default
 
     def __contains__(self, key: Hashable) -> bool:
-        if self._full is not None:
-            return key in self._full
         try:
-            self[key]
+            self._modeler.resource_price(key, self._timeframe)
             return True
         except KeyError:
             return False

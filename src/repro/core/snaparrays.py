@@ -1,38 +1,34 @@
-"""Per-epoch array materialisation for the vectorized query path.
+"""Array materialisation for the vectorized query path.
 
 The scalar ``flow_info_batch`` pipeline expands every scenario through
 per-flow Python objects: ``FlowRequest`` → ``Demand`` dataclasses, dict
-prunes of the capacity snapshots, per-hop ``StatMeasure`` churn for the
+prunes of the capacity snapshots, per-hop ``StatMeasure`` reads for the
 answer accuracy, and dict-shaped allocation results.  At 256 hosts the
 allocation *solve* is a minority of the query cost — the expansion around
-it dominates.  This module materialises everything that is constant for
-one published snapshot (or one batch evaluation time) as contiguous
-arrays, and re-expresses the whole scenario evaluation as array kernels:
+it dominates.  This module keeps everything that is constant for one
+published snapshot as contiguous arrays, and re-expresses the whole
+scenario evaluation as array kernels.
 
 :class:`SnapshotArrays` (one per :class:`~repro.core.modeler.Modeler`,
-i.e. one per published epoch — snapshots are immutable, so this is
-coherence-free):
+i.e. one per published epoch) has two halves:
 
-* a :class:`~repro.fairshare.vectorized.KeySpace` interning resource keys
-  to dense integer ids, and per-route **incidence rows** (CSR-style id
-  arrays mirroring ``Modeler.resources_for_route`` tuples, built once per
-  route);
-* per-route latency measures and hop counts (structural, shared across
-  every answer that names the route).
+* the **structural** half (:class:`_RouteArrays`) — a
+  :class:`~repro.fairshare.vectorized.KeySpace` interning resource keys
+  to dense integer ids, per-route **incidence rows** (id arrays mirroring
+  ``Modeler.resources_for_route`` tuples), per-route latency measures and
+  hop counts, and the set of endpoints known to be compute nodes.  It
+  depends on the routing table alone, so it is shared across
+  ``Modeler.fork`` exactly when the routing table is;
+* the **per-epoch** half — for each priced timeframe, the projection of
+  the modeler's price memo onto those ids (:class:`_PriceArrays`): the six
+  availability levels, entry-clamped as every solve would clamp them, and
+  the accuracy of each resource's measure.  Slots fill lazily, under the
+  fill lock, from one ``Modeler.resource_price`` read per resource per
+  epoch; a query then gathers all six levels and the accuracies with one
+  fancy index each.
 
-:class:`BatchCaches` (one per ``flow_info``/``flow_info_batch`` call —
-one query, one evaluation time, mirroring ``CapacityView``'s pinned
-"now"):
-
-* per-level **capacity vectors** indexed by resource id, gathered lazily
-  from the same ``CapacityView``/dict snapshots the scalar path reads
-  (values bit-identical by construction);
-* a per-direction / per-route **accuracy memo** so the batch pays the
-  ``available_bandwidth`` StatMeasure arithmetic once per direction
-  instead of once per hop × flow × scenario.
-
-:func:`evaluate_flow_query` then mirrors ``Remos._evaluate_flow_query``
-step for step — same validation order, same staged fixed → variable →
+:func:`evaluate_flow_query` mirrors ``Remos._evaluate_flow_query`` step
+for step — same validation order, same staged fixed → variable →
 independent chaining, same per-level ``fairshare.allocate`` spans — with
 the filling loop delegated to :func:`repro.fairshare.vectorized.fill`.
 Answers are **bit-identical** to the scalar path (differentially fuzzed
@@ -44,7 +40,7 @@ oracle and the no-numpy fallback.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, MulticastFlow
@@ -62,180 +58,200 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.modeler import Modeler
 
 _LEVELS = ("minimum", "q1", "median", "q3", "maximum")
+#: Row order of :attr:`_PriceArrays.levels`.
+_PRICED = (*_LEVELS, "mean")
+
+
+class _RouteArrays:
+    """Everything derived from the routing table alone.
+
+    Thread-safe for concurrent readers of any epoch sharing it: misses
+    take ``lock`` and insert fully-built values, so lock-free hits only
+    ever observe complete entries (the dict-of-immutables pattern
+    ``docs/CONCURRENCY.md`` documents for the route memo).
+    """
+
+    __slots__ = ("lock", "keyspace", "rows", "static", "endpoints")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.keyspace = KeySpace()
+        #: (src, dst) -> int64 id row mirroring ``resources_for_route``.
+        self.rows: dict[tuple[str, str], "np.ndarray"] = {}
+        #: (src, dst) -> (latency StatMeasure, hop_count).
+        self.static: dict[tuple[str, str], tuple[StatMeasure, int]] = {}
+        #: Names already validated as known compute nodes.
+        self.endpoints: set[str] = set()
+
+
+class _PriceArrays:
+    """One price table as id-indexed columns.
+
+    ``levels[r, i]`` is ``max(0.0, price_i.<_PRICED[r]>)`` — the entry
+    clamp of the scalar solve, NaN → 0.0 included — or 0.0 where
+    ``present[i]`` is False (the resource constrains nothing);
+    ``accuracy[i]`` is the measure's accuracy (1.0 where absent, neutral
+    under ``min``).  A slot means something only once ``known[i]`` is set,
+    which the filler does last.  Immutable in shape: growth builds a new
+    instance and swaps the table's reference, so a reader holding one sees
+    a consistent set of columns.
+    """
+
+    __slots__ = ("known", "present", "levels", "accuracy")
+
+    def __init__(self, size: int, old: "_PriceArrays | None" = None):
+        self.known = np.zeros(size, dtype=bool)
+        self.present = np.zeros(size, dtype=bool)
+        self.levels = np.zeros((len(_PRICED), size), dtype=np.float64)
+        self.accuracy = np.ones(size, dtype=np.float64)
+        if old is not None:
+            n = len(old.known)
+            self.known[:n] = old.known
+            self.present[:n] = old.present
+            self.levels[:, :n] = old.levels
+            self.accuracy[:n] = old.accuracy
 
 
 class SnapshotArrays:
-    """Structural array state shared by every query against one epoch.
+    """Array state behind every vectorized query against one epoch.
 
-    Built lazily by :meth:`Modeler.snapshot_arrays`.  Against a published
-    (frozen) snapshot nothing here can go stale; against a live view,
-    :meth:`sync` drops the route-derived state when the topology's
-    structure generation advances — the same contract as the modeler's
-    own ``_route_resources`` memo.
-
-    Thread-safe for concurrent readers: misses take ``_lock`` and insert
-    fully-built values, so lock-free hits only ever observe complete
-    entries (the dict-of-immutables pattern ``docs/CONCURRENCY.md``
-    documents for the route memo).
+    Built lazily by :meth:`Modeler.snapshot_arrays`; a structural change
+    that replaces the routing table drops it (and the price tables) with
+    the route memo.  Readers only ever *fill* it: every slot holds what
+    any other reader of the same epoch would compute.
     """
 
-    __slots__ = ("_modeler", "_structure", "_lock", "keyspace", "_rows", "_route_static")
+    __slots__ = ("_modeler", "_routes", "_fill_lock")
 
-    def __init__(self, modeler: "Modeler"):
+    def __init__(self, modeler: "Modeler", routes: "_RouteArrays | None" = None):
         self._modeler = modeler
-        self._structure = modeler.view.structure_generation
-        self._lock = threading.Lock()
-        self.keyspace = KeySpace()
-        #: (src, dst) -> int64 id row mirroring ``resources_for_route``.
-        self._rows: dict[tuple[str, str], "np.ndarray"] = {}
-        #: (src, dst) -> (latency StatMeasure, hop_count); structural.
-        self._route_static: dict[tuple[str, str], tuple[StatMeasure, int]] = {}
+        self._routes = routes if routes is not None else _RouteArrays()
+        self._fill_lock = threading.Lock()
 
-    def sync(self) -> None:
-        """Drop route-derived state if the topology changed in place."""
-        structure = self._modeler.view.structure_generation
-        if structure != self._structure:
-            with self._lock:
-                if structure != self._structure:
-                    self._rows = {}
-                    self._route_static = {}
-                    self._structure = structure
+    def fork(self, modeler: "Modeler") -> "SnapshotArrays":
+        """The successor epoch's arrays: same routes, no prices yet."""
+        return SnapshotArrays(modeler, self._routes)
+
+    @property
+    def keyspace(self) -> KeySpace:
+        return self._routes.keyspace
+
+    def validate_endpoints(self, flows) -> None:
+        """Raise :class:`QueryError` unless every endpoint is a compute node."""
+        valid = self._routes.endpoints
+        topology = self._modeler.view.topology
+        for flow in flows:
+            for endpoint in (flow.src, flow.dst):
+                if endpoint in valid:
+                    continue
+                if not topology.has_node(endpoint):
+                    raise QueryError(f"unknown flow endpoint {endpoint!r}")
+                if not topology.node(endpoint).is_compute:
+                    raise QueryError(
+                        f"flow endpoints must be compute nodes; {endpoint!r} is not"
+                    )
+                valid.add(endpoint)
 
     def route_row(self, src: str, dst: str) -> "np.ndarray":
         """The interned id row for the (src, dst) route."""
+        routes = self._routes
         key = (src, dst)
-        row = self._rows.get(key)
+        row = routes.rows.get(key)
         if row is None:
             resources = self._modeler.resources_for_route(src, dst)
-            with self._lock:
-                row = self._rows.get(key)
+            with routes.lock:
+                row = routes.rows.get(key)
                 if row is None:
-                    row = self.keyspace.intern_row(resources)
-                    self._rows[key] = row
+                    row = routes.keyspace.intern_row(resources)
+                    routes.rows[key] = row
         return row
 
     def route_static(self, src: str, dst: str) -> tuple[StatMeasure, int]:
         """Shared latency measure + hop count for the (src, dst) route."""
+        routes = self._routes
         key = (src, dst)
-        entry = self._route_static.get(key)
+        entry = routes.static.get(key)
         if entry is None:
             route = self._modeler.routing.route(src, dst)
-            with self._lock:
-                entry = self._route_static.get(key)
+            with routes.lock:
+                entry = routes.static.get(key)
                 if entry is None:
                     entry = (StatMeasure.constant(route.latency), route.hop_count)
-                    self._route_static[key] = entry
+                    routes.static[key] = entry
         return entry
 
+    def prices(self, timeframe: Timeframe, ids: "np.ndarray") -> tuple:
+        """``(levels[:, ids], present[ids], accuracy)`` for sorted global *ids*.
 
-class _LevelCache:
-    """One availability level's capacities as id-indexed arrays.
-
-    ``values[i]``/``present[i]`` mirror ``snapshot[keyspace.keys[i]]`` /
-    ``keyspace.keys[i] in snapshot`` exactly; slots are filled on first
-    gather (``known``) so a batch touches each resource once per level.
-    """
-
-    __slots__ = ("values", "present", "known")
-
-    def __init__(self, capacity: int):
-        self.values = np.zeros(capacity, dtype=np.float64)
-        self.present = np.zeros(capacity, dtype=bool)
-        self.known = np.zeros(capacity, dtype=bool)
-
-    def _grow(self, need: int) -> None:
-        size = max(need, 2 * len(self.values), 16)
-        for name in self.__slots__:
-            old = getattr(self, name)
-            new = np.zeros(size, dtype=old.dtype)
-            new[: len(old)] = old
-            setattr(self, name, new)
-
-    def gather(self, ids: "np.ndarray", keys: list, snapshot) -> tuple:
-        """``(values[ids], present[ids])`` for sorted global *ids*."""
-        if ids.size and int(ids[-1]) >= len(self.values):
-            self._grow(int(ids[-1]) + 1)
-        known = self.known
-        for ident in ids[~known[ids]].tolist():
-            try:
-                self.values[ident] = snapshot[keys[ident]]
-                self.present[ident] = True
-            except KeyError:
-                pass
-            known[ident] = True
-        return self.values[ids], self.present[ids]
-
-
-class BatchCaches:
-    """Dynamic per-call caches: one query (or batch), one evaluation time.
-
-    Never kept across calls — the underlying ``CapacityView`` snapshots
-    pin "now" at construction, and so do these.
-    """
-
-    __slots__ = (
-        "arrays",
-        "valid_endpoints",
-        "_modeler",
-        "_timeframe",
-        "_levels",
-        "_dir_acc",
-        "_route_acc",
-    )
-
-    def __init__(self, modeler: "Modeler", timeframe: Timeframe):
-        self.arrays = (
-            modeler.snapshot_arrays()
-            if HAVE_NUMPY and _vectorized.vectorization_enabled()
-            else None
-        )
-        #: Endpoints already validated as known compute nodes this batch.
-        self.valid_endpoints: set[str] = set()
-        self._modeler = modeler
-        self._timeframe = timeframe
-        self._levels: dict[str, _LevelCache] = {}
-        self._dir_acc: dict[Hashable, float] = {}
-        self._route_acc: dict[tuple[str, str], float] = {}
-
-    def usable(self, fixed: list, variable: list, independent: list) -> bool:
-        """Should this query run through the array evaluator?"""
-        if self.arrays is None:
-            return False
-        total = len(fixed) + len(variable) + len(independent)
-        if not _vectorized._use_vectorized(total):
-            return False
-        return not any(
-            isinstance(flow, MulticastFlow)
-            for flow in (*fixed, *variable, *independent)
-        )
-
-    def level_values(self, level: str, snapshot, ids: "np.ndarray") -> tuple:
-        """Capacity values + presence for *ids* at one availability level."""
-        cache = self._levels.get(level)
-        if cache is None:
-            cache = self._levels[level] = _LevelCache(len(self.arrays.keyspace))
-        return cache.gather(ids, self.arrays.keyspace.keys, snapshot)
-
-    def route_accuracy(self, src: str, dst: str) -> float:
-        """min over the route's directions of the availability accuracy.
-
-        Reads the same ``available_bandwidth`` measures the scalar
-        ``_query_accuracy`` loop reads — each direction once per batch
-        instead of once per crossing flow.
+        *accuracy* is the worst accuracy among the gathered resources'
+        measures, folded from 1.0 the way the scalar per-hop running min
+        folds it (NaN never wins).  Served from this epoch's price table;
+        slots not priced yet are filled first, each from one
+        ``resource_price`` read.
         """
-        key = (src, dst)
-        accuracy = self._route_acc.get(key)
-        if accuracy is None:
-            accuracy = 1.0
-            dirs = self._dir_acc
-            for hop in self._modeler.routing.route(src, dst).hops:
-                hop_acc = dirs.get(hop.key)
-                if hop_acc is None:
-                    measure = self._modeler.available_bandwidth(hop, self._timeframe)
-                    hop_acc = dirs[hop.key] = measure.accuracy
-                accuracy = min(accuracy, hop_acc)
-            self._route_acc[key] = accuracy
-        return accuracy
+        if not ids.size:
+            return np.zeros((len(_PRICED), 0)), np.zeros(0, dtype=bool), 1.0
+        modeler = self._modeler
+        table = modeler._price_table(timeframe)
+        arrays = table.arrays
+        # Six level rows and the accuracy row are read per resource.
+        served = (len(_PRICED) + 1) * ids.size
+        if (
+            arrays is None
+            or int(ids[-1]) >= len(arrays.known)
+            or not arrays.known[ids].all()
+        ):
+            arrays, priced = self._fill(table, timeframe, ids)
+            served -= priced  # resource_price counted those reads itself
+        if table.counted:
+            modeler.stats.hit("bandwidth", served)
+        accuracy = float(np.fmin.reduce(arrays.accuracy[ids], initial=1.0))
+        return arrays.levels[:, ids], arrays.present[ids], accuracy
+
+    def _fill(self, table, timeframe: Timeframe, ids: "np.ndarray") -> tuple:
+        """Price the slots among *ids* nobody has yet: ``(columns, how many)``."""
+        modeler = self._modeler
+        keys = self._routes.keyspace.keys
+        with self._fill_lock:
+            arrays = table.arrays
+            need = int(ids[-1]) + 1
+            if arrays is None or need > len(arrays.known):
+                # Every id a query can name is already interned, so sizing
+                # by the keyspace (with headroom) makes growth rare.
+                arrays = _PriceArrays(max(need, 2 * len(keys), 16), arrays)
+            missing = ids[~arrays.known[ids]].tolist()
+            priced, columns, accuracies = [], [], []
+            for ident in missing:
+                try:
+                    price = modeler.resource_price(keys[ident], timeframe)
+                except KeyError:
+                    continue  # constrains nothing: stays absent
+                priced.append(ident)
+                columns.append(
+                    [max(0.0, float(getattr(price, level))) for level in _PRICED]
+                )
+                accuracies.append(price.accuracy)
+            if priced:
+                arrays.levels[:, priced] = np.array(columns).T
+                arrays.accuracy[priced] = accuracies
+                arrays.present[priced] = True
+            arrays.known[missing] = True  # last: the slots now mean something
+            table.arrays = arrays
+        return arrays, len(missing)
+
+
+def vectorizable(fixed: list, variable: list, independent: list) -> bool:
+    """Should this scenario run through the array evaluator?
+
+    Yes when numpy is live, the problem is large enough for the kernels to
+    win, and every flow is unicast.
+    """
+    total = len(fixed) + len(variable) + len(independent)
+    if not _vectorized._use_vectorized(total):
+        return False
+    return not any(
+        isinstance(flow, MulticastFlow) for flow in (*fixed, *variable, *independent)
+    )
 
 
 def evaluate_flow_query(
@@ -244,31 +260,15 @@ def evaluate_flow_query(
     variable: list[Flow],
     independent: list[Flow],
     timeframe: Timeframe,
-    snapshots,
-    caches: BatchCaches,
 ) -> FlowInfoResult:
     """Array-native mirror of ``Remos._evaluate_flow_query``.
 
     Same validation, same staged chaining, same spans, bit-identical
-    answers; the caller dispatches here only when
-    :meth:`BatchCaches.usable` said yes (numpy live, unicast flows,
-    problem large enough to win).
+    answers; the caller dispatches here only when :func:`vectorizable`
+    said yes (numpy live, unicast flows, problem large enough to win).
     """
-    topology = modeler.view.topology
-    valid = caches.valid_endpoints
-    for flow in (*fixed, *variable, *independent):
-        for endpoint in (flow.src, flow.dst):
-            if endpoint in valid:
-                continue
-            if not topology.has_node(endpoint):
-                raise QueryError(f"unknown flow endpoint {endpoint!r}")
-            if not topology.node(endpoint).is_compute:
-                raise QueryError(
-                    f"flow endpoints must be compute nodes; {endpoint!r} is not"
-                )
-            valid.add(endpoint)
-
-    arrays = caches.arrays
+    arrays = modeler.snapshot_arrays()
+    arrays.validate_endpoints((*fixed, *variable, *independent))
     keyspace = arrays.keyspace
 
     classes = (
@@ -353,21 +353,20 @@ def evaluate_flow_query(
     uniq = np.unique(np.concatenate(ref)) if ref else np.empty(0, dtype=np.int64)
     size = int(uniq[-1]) + 1 if uniq.size else 0
 
+    # Every level's entry-clamped capacities, and the overall answer
+    # accuracy (the worst among the directions any queried flow
+    # traverses), in one read of the epoch's price table.
+    levels, present, accuracy = arrays.prices(timeframe, uniq)
+    present_g = np.zeros(size, dtype=bool)
+    present_g[uniq] = present
+
     # Solve every availability level through the staged pipeline.
     rates: dict[tuple[str, str], "np.ndarray"] = {}
     median_bottleneck: dict[str, "np.ndarray"] = {}
     median_satisfied = None
-    for level in (*_LEVELS, "mean"):
-        values, present = caches.level_values(level, snapshots[level], uniq)
-        # Entry clamp, matching the scalar ``max(0.0, float(cap))``
-        # including its NaN semantics (max returns 0.0 for NaN input).
-        clamped = np.maximum(0.0, values)
-        clamped[np.isnan(values)] = 0.0
+    for level, clamped in zip(_PRICED, levels):
         remaining = np.zeros(size, dtype=np.float64)
-        present_g = np.zeros(size, dtype=bool)
-        if uniq.size:
-            remaining[uniq] = np.where(present, clamped, 0.0)
-            present_g[uniq] = present
+        remaining[uniq] = clamped
         with obs.span("fairshare.allocate") as sp:
             if sp:
                 sp.set(
@@ -399,13 +398,6 @@ def evaluate_flow_query(
                             count=len(fixed),
                         )
                         median_satisfied = stage_rates >= requested * (1.0 - 1e-9)
-
-    # Overall answer accuracy: worst accuracy among the directions any
-    # queried flow traverses (same running-min the scalar loop computes).
-    accuracy = 1.0
-    for _, flows in classes:
-        for flow in flows:
-            accuracy = min(accuracy, caches.route_accuracy(flow.src, flow.dst))
 
     def answers(klass: str, flows: list[Flow]) -> list[FlowAnswer]:
         if not flows:

@@ -169,7 +169,12 @@ class Response:
 
     @classmethod
     def json(cls, status: int, data) -> "Response":
-        return cls.text(status, json.dumps(data, indent=2), "application/json")
+        # Compact on the wire: any ``indent`` forces the pure-Python
+        # encoder (~2x the time) and pads the body by ~40%.  Humans read
+        # these through the CLI, which indents its own output.
+        return cls.text(
+            status, json.dumps(data, separators=(",", ":")), "application/json"
+        )
 
     @classmethod
     def error(cls, status: int, error: BaseException) -> "Response":
@@ -230,7 +235,6 @@ def _observed_query(service, endpoint: str, args: dict, run) -> Response:
     stats = service.remos.cache_stats
     hits, misses = stats.hits, stats.misses
     started = time.perf_counter()
-    context = obs.current_context()
     response: Response | None = None
     error: BaseException | None = None
     try:
@@ -241,23 +245,14 @@ def _observed_query(service, endpoint: str, args: dict, run) -> Response:
         error = exc
         raise
     finally:
-        duration = time.perf_counter() - started
-        snapshot = service.remos.publisher.current()
-        if error is not None:
-            args = {**args, "error": f"{type(error).__name__}: {error}"}
-        service.slowlog.observe(
+        service._finish_query(
             endpoint,
-            duration,
-            trace_id=None if context is None else context.trace_id,
-            args=args,
-            epoch=None if snapshot is None else snapshot.epoch,
-            generation=None if snapshot is None else snapshot.generation,
-            structure_generation=(
-                None if snapshot is None else snapshot.structure_generation
-            ),
+            time.perf_counter() - started,
+            args=lambda: args,
             cache_hits=stats.hits - hits,
             cache_misses=stats.misses - misses,
-            span_tree=span.tree() if isinstance(span, obs.Span) else None,
+            span=span,
+            error=error,
             status=None if response is None else response.status,
         )
 

@@ -311,10 +311,12 @@ class QueryFrontEnd:
             error = exc
             raise
         finally:
+            duration = time.perf_counter() - started
+            self.slos.record_request("flow_info", duration)
             self._finish_query(
                 "flow_info",
-                time.perf_counter() - started,
-                args=self._flow_args(query, timeframe),
+                duration,
+                args=lambda: self._flow_args(query, timeframe),
                 cache_hits=stats.hits - hits,
                 cache_misses=stats.misses - misses,
                 span=span,
@@ -392,18 +394,26 @@ class QueryFrontEnd:
         self,
         endpoint: str,
         duration: float,
-        args: dict,
+        args,
         cache_hits: int,
         cache_misses: int,
         span,
         error: BaseException | None,
         shard: str | None = None,
+        status: int | None = None,
     ) -> None:
-        """Feed one completed query into the SLO and the slow-query log."""
-        self.slos.record_request(endpoint, duration)
-        if duration < self.slowlog.threshold_seconds and error is None:
+        """Feed one completed query into the slow-query log.
+
+        The one settlement path for every query endpoint (the HTTP layer
+        calls it for ``/graph`` and ``/node``).  *args* is a zero-argument
+        callable: the forensic record — request arguments, span tree,
+        epoch stamps — is built only for a query that crossed the
+        threshold; a faster one is counted and nothing else.
+        """
+        if duration < self.slowlog.threshold_seconds:
             self.slowlog.observe(endpoint, duration)  # count it, record nothing
             return
+        args = args()
         if error is not None:
             args = {**args, "error": f"{type(error).__name__}: {error}"}
         snapshot = self.remos.publisher.current()
@@ -429,6 +439,7 @@ class QueryFrontEnd:
             cache_misses=cache_misses,
             span_tree=tree,
             shard=shard,
+            status=status,
         )
 
     def _execute_group(self, group: list[_Pending]) -> None:

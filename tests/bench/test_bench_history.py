@@ -13,6 +13,7 @@ def artifacts(tmp_path):
     (tmp_path / "BENCH_scale.json").write_text(json.dumps({
         "benchmark": "bench_ablation_scale",
         "engine_speedup": {"speedup": 10.0},
+        "vectorized_kernel": {"batches_per_s": 30.0, "speedup": 5.5},
     }))
     (tmp_path / "BENCH_refresh.json").write_text(json.dumps({
         "benchmark": "bench_refresh_cost",
@@ -40,7 +41,8 @@ class TestCollect:
     def test_collects_all_headline_metrics(self, artifacts):
         collected = bench_history.collect(artifacts)
         assert collected == {
-            "bench_ablation_scale": {"engine_speedup": 10.0},
+            # The scalar/vectorized ratio beside it is reported, not a headline.
+            "bench_ablation_scale": {"engine_speedup": 10.0, "vectorized_batches_per_s": 30.0},
             "bench_refresh_cost": {"incremental_rounds_per_s": 8.0},
             "bench_concurrent_queries": {"single_thread_qps": 4.0, "best_concurrent_qps": 40.0},
             "bench_topology_scale": {"head_to_head_speedup": 16.0},

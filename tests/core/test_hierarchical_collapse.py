@@ -31,6 +31,7 @@ from repro.net import TopologyBuilder, fat_tree, leaf_spine
 from repro.util import mbps
 from repro.util.errors import QueryError
 
+from benchmarks._reference import capacity_snapshots_full
 from tests.core.conftest import line_topology, measured_view
 
 
@@ -202,7 +203,7 @@ class TestFlowAnswerPreservation:
         )
         pruned = remos.flow_info(timeframe=timeframe, **flows)
         modeler = remos._modeler()
-        snapshots = Remos._capacity_snapshots_full(modeler, timeframe)
+        snapshots = capacity_snapshots_full(modeler, timeframe)
         full = remos._evaluate_flow_query(
             modeler,
             flows["fixed_flows"],

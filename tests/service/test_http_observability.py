@@ -162,6 +162,47 @@ class TestSlowQueryForensics:
         assert status == 200
         assert any(r["endpoint"] == "graph" for r in service.slowlog.records())
 
+    def test_graph_record_keeps_status_trace_and_tree(self, live):
+        base, service, _ = live
+        marker = "dddddddddddddddddddddddddddddd0e"
+        _get(
+            base + "/graph?nodes=m-2,m-5",
+            {"traceparent": f"00-{marker}-00f067aa0ba902b7-01"},
+        )
+        record = next(r for r in service.slowlog.records() if r["trace_id"] == marker)
+        assert record["endpoint"] == "graph" and record["status"] == 200
+        assert record["args"]["nodes"] == ["m-2", "m-5"]
+        assert record["span_tree"]["name"] == "http.graph"
+        assert record["epoch"] is not None and record["cache_hits"] is not None
+
+    def test_fast_queries_build_no_forensics(self, live, monkeypatch):
+        """Below the threshold a query is counted and nothing is assembled."""
+        base, service, _ = live
+        built = []
+        flow_args, tree = type(service)._flow_args, obs.Span.tree
+        monkeypatch.setattr(
+            type(service),
+            "_flow_args",
+            staticmethod(lambda *a: built.append("args") or flow_args(*a)),
+        )
+        monkeypatch.setattr(
+            obs.Span, "tree", lambda span: built.append("tree") or tree(span)
+        )
+        monkeypatch.setattr(service.slowlog, "threshold_seconds", 3600.0)
+        observed, recorded = service.slowlog.observed, service.slowlog.recorded
+        flows = {"variable": [{"src": "m-1", "dst": "m-4"}]}
+        assert _post(base + "/flow_info", flows)[0] == 200
+        assert _get(base + "/graph?nodes=m-1,m-4")[0] == 200
+        assert _get(base + "/node/m-3")[0] == 200
+        assert built == []
+        assert service.slowlog.observed == observed + 3
+        assert service.slowlog.recorded == recorded
+        # Over the threshold the record is assembled, error included.
+        monkeypatch.setattr(service.slowlog, "threshold_seconds", 0.0)
+        assert _get(base + "/graph?nodes=no-such-host")[0] == 400
+        assert service.slowlog.recorded == recorded + 1
+        assert "tree" in built and "error" in service.slowlog.records()[0]["args"]
+
     def test_limit_parameter(self, live):
         base, _, _ = live
         for _ in range(3):
