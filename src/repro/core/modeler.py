@@ -58,29 +58,10 @@ AUTO_COLLAPSE_THRESHOLD = 64
 
 # Timeframes priced at once per epoch; the oldest table is evicted (and
 # refilled on demand) beyond this.  Each costs one measure per crossed
-# resource plus six floats per interned id.
+# resource (plus, on the array path, seven floats per interned id).
 _MAX_PRICED_TIMEFRAMES = 8
 
 _log = obs.get_logger("repro.core.modeler")
-
-
-class _PriceTable:
-    """One timeframe's prices for one epoch.
-
-    ``measures`` maps a resource key to what it offers (a link direction's
-    available-bandwidth measure, a finite crossbar's constant); ``arrays``
-    is its projection onto keyspace ids, attached by
-    :class:`~repro.core.snaparrays.SnapshotArrays` on first vectorized use.
-    ``counted`` is False for STATIC, whose reads never stood in for a
-    series summary and so never counted as cache hits.
-    """
-
-    __slots__ = ("measures", "arrays", "counted")
-
-    def __init__(self, timeframe: Timeframe):
-        self.measures: dict[Hashable, StatMeasure] = {}
-        self.arrays = None
-        self.counted = timeframe.kind is not TimeframeKind.STATIC
 
 
 class _Entry:
@@ -147,12 +128,13 @@ class Modeler:
         self._bandwidth_cache: dict[tuple, _Entry] = {}
         self._cpu_cache: dict[tuple, _Entry] = {}
         self._graph_cache: dict[tuple, _GraphEntry] = {}
-        # The price memo: valid for ``_cache_stamp`` only, so it is replaced
-        # wholesale whenever the stamp moves and never carried across forks.
-        self._prices: dict[Timeframe, _PriceTable] = {}
-        self._prices_lock = threading.Lock()
-        # A frozen view's stamp can never move: skip the stamp check.
-        self._pinned = view.frozen
+        # The price memo, timeframe -> resource key -> what it offers: valid
+        # for ``_cache_stamp`` only, so it is replaced wholesale whenever the
+        # stamp moves and never carried across forks.
+        self._prices: dict[Timeframe, dict[Hashable, StatMeasure]] = {}
+        # Serialises creation of what an epoch's readers share: a
+        # timeframe's price table, the snapshot arrays.
+        self._epoch_lock = threading.Lock()
         # Route → resource-key memo; purely structural (routes + static
         # crossbar finiteness), so it outlives generations and is dropped
         # only when the routing table itself is replaced.
@@ -183,8 +165,11 @@ class Modeler:
         """The freshness token cached answers are valid for.
 
         The collector-bumped generation is the primary stamp; the newest
-        metric timestamp (O(1)) rides along so even hand-mutated views that
-        never bump generations cannot serve stale answers.
+        metric timestamp (O(1)) rides along so a hand-mutated view that
+        records newer samples without bumping generations is still noticed.
+        A sample recorded by hand at or before the newest timestamp with no
+        bump is not: the price memo trusts this stamp alone and serves its
+        old price until the stamp next moves (``docs/PERFORMANCE.md`` §2).
         """
         return (self.view.generation, self.view.metrics.latest_timestamp())
 
@@ -306,9 +291,7 @@ class Modeler:
         self.routing = RoutingTable(topology)
         self.stats.routing_rebuilds += 1
         self._route_resources.clear()
-        # Interned ids die with the rows, and the price arrays index by id.
         self._snaparrays = None
-        self._prices = {}
 
     def _sync_collapse(self) -> None:
         """Keep or drop the collapse tree after a (possible) structure change."""
@@ -406,7 +389,6 @@ class Modeler:
                 # it so later validity checks are O(1) identity again.
                 self.routing.rebase(view.topology)
             self.view = view
-            self._pinned = view.frozen
             self._sync_collapse()
             self._seen_structure = view.structure_generation
             self._refresh_caches(force=True)
@@ -459,8 +441,7 @@ class Modeler:
         # forecast accuracy keeps accruing across snapshot publications.
         child.evaluator = self.evaluator.fork()
         child._prices = {}
-        child._prices_lock = threading.Lock()
-        child._pinned = view.frozen
+        child._epoch_lock = threading.Lock()
         child._snaparrays = None
         if self.routing.is_valid_for(view.topology):
             child.routing = self.routing
@@ -469,8 +450,9 @@ class Modeler:
             # Shared on purpose: purely structural, identical for both
             # epochs, and concurrent fills insert identical tuples.
             child._route_resources = self._route_resources
-            if self._snaparrays is not None:
-                child._snaparrays = self._snaparrays.fork(child)
+            arrays = self._snaparrays  # one read: a reader may be creating it
+            if arrays is not None:
+                child._snaparrays = arrays.fork(child)
         else:
             child.routing = RoutingTable(view.topology)
             self.stats.routing_rebuilds += 1
@@ -498,19 +480,20 @@ class Modeler:
             carry = chain is not None and not any(d.is_structural for d in chain)
         if carry:
             # Readers of this (still published) epoch keep filling these
-            # dicts while the writer forks: list() takes an atomic copy of
-            # the items, which iterating the live dict would not survive.
+            # dicts while the writer forks.  dict.copy() is one C call;
+            # list(items()) allocates per item, and any allocation can start
+            # a collection whose finalizers yield the GIL mid-iteration.
             child._bandwidth_cache = {
                 key: _Entry(entry.version, entry.now_used, entry.measure)
-                for key, entry in list(self._bandwidth_cache.items())
+                for key, entry in self._bandwidth_cache.copy().items()
             }
             child._cpu_cache = {
                 key: _Entry(entry.version, entry.now_used, entry.measure)
-                for key, entry in list(self._cpu_cache.items())
+                for key, entry in self._cpu_cache.copy().items()
             }
             child._graph_cache = {
                 key: _GraphEntry(entry.graph, entry.link_names, entry.now_used)
-                for key, entry in list(self._graph_cache.items())
+                for key, entry in self._graph_cache.copy().items()
             }
             # Reconcile against the frozen stamps now, so the partial
             # eviction (and its stats) happens before publication.
@@ -601,38 +584,7 @@ class Modeler:
         self, direction: LinkDirection, timeframe: Timeframe, now: float | None
     ) -> StatMeasure:
         """The direction's price for this stamp: computed once, then read."""
-        table = self._price_table(timeframe)
-        price = table.measures.get(direction.key)
-        if price is None:
-            used = self._used_bandwidth(direction, timeframe, now)
-            price = table.measures[direction.key] = used.complement_of(
-                direction.capacity
-            )
-        elif table.counted:
-            self.stats.hit("bandwidth")
-        return price
-
-    def _price_table(self, timeframe: Timeframe) -> _PriceTable:
-        """The current stamp's price table for *timeframe*.
-
-        Lock-free on a hit; creation (and eviction of the oldest table
-        beyond ``_MAX_PRICED_TIMEFRAMES``) is serialised.  With caching
-        disabled every call gets a throwaway table, so nothing is reused.
-        """
-        if not self.enable_cache:
-            return _PriceTable(timeframe)
-        if not self._pinned:
-            self._refresh_caches()
-        table = self._prices.get(timeframe)
-        if table is None:
-            with self._prices_lock:
-                prices = self._prices
-                table = prices.get(timeframe)
-                if table is None:
-                    if len(prices) >= _MAX_PRICED_TIMEFRAMES:
-                        del prices[next(iter(prices))]
-                    table = prices[timeframe] = _PriceTable(timeframe)
-        return table
+        return self._priced(direction.key, timeframe, direction, now)
 
     def resource_price(self, key: Hashable, timeframe: Timeframe) -> StatMeasure:
         """What the allocation resource *key* offers for *timeframe*.
@@ -642,25 +594,62 @@ class Modeler:
         no crossbar utilization).  Raises :class:`KeyError` for anything
         else — infinite crossbars and unknown resources constrain nothing.
         """
-        table = self._price_table(timeframe)
-        price = table.measures.get(key)
-        if price is not None:
-            if table.counted:
-                self.stats.hit("bandwidth")
-            return price
-        topology = self.view.topology
-        try:
-            if isinstance(key, tuple) and len(key) == 2 and key[0] == "xbar":
-                bandwidth = topology.node(key[1]).internal_bandwidth
-                if bandwidth == float("inf"):
-                    raise KeyError(key)
-                price = table.measures[key] = StatMeasure.constant(bandwidth)
-                return price
-            link_name, src, dst = key  # type: ignore[misc]
-            direction = topology.link(link_name).direction(src, dst)
-        except (TopologyError, TypeError, ValueError):
-            raise KeyError(key) from None
-        return self.available_bandwidth(direction, timeframe)
+        return self._priced(key, timeframe)
+
+    def _priced(
+        self, key: Hashable, timeframe: Timeframe, direction=None, now=None
+    ) -> StatMeasure:
+        """The one memo read: *key*'s slot, filled on first use (callers
+        already holding the key's *direction* and a hoisted *now* pass them)."""
+        measures = self._price_table(timeframe)
+        price = measures.get(key)
+        if price is None:
+            price = measures[key] = self._price(key, timeframe, direction, now)
+        elif len(key) == 3 and timeframe.kind is not TimeframeKind.STATIC:
+            # A direction's price stood in for a series summary; a STATIC
+            # read or a crossbar's constant never did.
+            self.stats.hit("bandwidth")
+        return price
+
+    def _price_table(self, timeframe: Timeframe) -> dict[Hashable, StatMeasure]:
+        """The current stamp's prices for *timeframe*, by resource key.
+
+        Lock-free on a hit; creation (and eviction of the oldest table
+        beyond ``_MAX_PRICED_TIMEFRAMES``) is serialised.  Only a live view
+        pays the stamp check: a frozen view's stamp can never move.  With
+        caching disabled every call gets a throwaway table.
+        """
+        if not self.enable_cache:
+            return {}
+        if not self.view.frozen:
+            self._refresh_caches()
+        measures = self._prices.get(timeframe)
+        if measures is None:
+            with self._epoch_lock:
+                prices = self._prices
+                measures = prices.get(timeframe)
+                if measures is None:
+                    if len(prices) >= _MAX_PRICED_TIMEFRAMES:
+                        del prices[next(iter(prices))]
+                    measures = prices[timeframe] = {}
+        return measures
+
+    def _price(self, key: Hashable, timeframe: Timeframe, direction, now) -> StatMeasure:
+        """One slot's value: for a direction, one validation + one complement."""
+        if direction is None:
+            topology = self.view.topology
+            try:
+                if isinstance(key, tuple) and len(key) == 2 and key[0] == "xbar":
+                    bandwidth = topology.node(key[1]).internal_bandwidth
+                    if bandwidth == float("inf"):
+                        raise KeyError(key)
+                    return StatMeasure.constant(bandwidth)
+                link_name, src, dst = key  # type: ignore[misc]
+                direction = topology.link(link_name).direction(src, dst)
+            except (TopologyError, TypeError, ValueError):
+                raise KeyError(key) from None
+        used = self._used_bandwidth(direction, timeframe, now)
+        return used.complement_of(direction.capacity)
 
     def cpu_load(self, host: str, timeframe: Timeframe) -> StatMeasure:
         """CPU utilization (0..1) of a host for a timeframe.
@@ -748,7 +737,11 @@ class Modeler:
         self.sync_structure()
         arrays = self._snaparrays
         if arrays is None:
-            arrays = self._snaparrays = SnapshotArrays(self)
+            # Readers of one epoch must agree on one keyspace and fill lock.
+            with self._epoch_lock:
+                arrays = self._snaparrays
+                if arrays is None:
+                    arrays = self._snaparrays = SnapshotArrays(self)
         return arrays
 
     def resources_for_route(self, src: str, dst: str) -> tuple[Hashable, ...]:
@@ -1249,8 +1242,7 @@ class CapacityView:
         self._quantile = quantile
 
     def __getitem__(self, key: Hashable) -> float:
-        price = self._modeler.resource_price(key, self._timeframe)
-        return getattr(price, self._quantile)
+        return getattr(self._modeler._priced(key, self._timeframe), self._quantile)
 
     def get(self, key: Hashable, default=None):
         """Dict-style lookup with a default, as ``admission_report`` uses."""
@@ -1261,7 +1253,7 @@ class CapacityView:
 
     def __contains__(self, key: Hashable) -> bool:
         try:
-            self._modeler.resource_price(key, self._timeframe)
+            self._modeler._priced(key, self._timeframe)
             return True
         except KeyError:
             return False

@@ -25,7 +25,8 @@ i.e. one per published epoch) has two halves:
   the accuracy of each resource's measure.  Slots fill lazily, under the
   fill lock, from one ``Modeler.resource_price`` read per resource per
   epoch; a query then gathers all six levels and the accuracies with one
-  fancy index each.
+  fancy index each.  Ids, fill lock and columns have this one owner, so
+  every reader of an epoch fills the same columns through the same ids.
 
 :func:`evaluate_flow_query` mirrors ``Remos._evaluate_flow_query`` step
 for step — same validation order, same staged fixed → variable →
@@ -44,7 +45,7 @@ from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, MulticastFlow
-from repro.core.timeframe import Timeframe
+from repro.core.timeframe import Timeframe, TimeframeKind
 from repro.fairshare import vectorized as _vectorized
 from repro.fairshare.maxmin import _EPS
 from repro.fairshare.vectorized import HAVE_NUMPY, KeySpace
@@ -85,29 +86,33 @@ class _RouteArrays:
 
 
 class _PriceArrays:
-    """One price table as id-indexed columns.
+    """One timeframe's price table as id-indexed columns.
 
     ``levels[r, i]`` is ``max(0.0, price_i.<_PRICED[r]>)`` — the entry
     clamp of the scalar solve, NaN → 0.0 included — or 0.0 where
     ``present[i]`` is False (the resource constrains nothing);
     ``accuracy[i]`` is the measure's accuracy (1.0 where absent, neutral
-    under ``min``).  A slot means something only once ``known[i]`` is set,
-    which the filler does last.  Immutable in shape: growth builds a new
-    instance and swaps the table's reference, so a reader holding one sees
-    a consistent set of columns.
+    under ``min``); ``counted[i]`` marks the slots whose reads count as
+    cache hits (a measured link direction: the price stands in for a
+    series summary).  A slot means something only once ``known[i]`` is
+    set, which the filler does last.  Immutable in shape: growth builds a
+    new instance and swaps the owner's reference, so a reader holding one
+    sees a consistent set of columns.
     """
 
-    __slots__ = ("known", "present", "levels", "accuracy")
+    __slots__ = ("known", "present", "counted", "levels", "accuracy")
 
     def __init__(self, size: int, old: "_PriceArrays | None" = None):
         self.known = np.zeros(size, dtype=bool)
         self.present = np.zeros(size, dtype=bool)
+        self.counted = np.zeros(size, dtype=bool)
         self.levels = np.zeros((len(_PRICED), size), dtype=np.float64)
         self.accuracy = np.ones(size, dtype=np.float64)
         if old is not None:
             n = len(old.known)
             self.known[:n] = old.known
             self.present[:n] = old.present
+            self.counted[:n] = old.counted
             self.levels[:, :n] = old.levels
             self.accuracy[:n] = old.accuracy
 
@@ -116,17 +121,21 @@ class SnapshotArrays:
     """Array state behind every vectorized query against one epoch.
 
     Built lazily by :meth:`Modeler.snapshot_arrays`; a structural change
-    that replaces the routing table drops it (and the price tables) with
-    the route memo.  Readers only ever *fill* it: every slot holds what
-    any other reader of the same epoch would compute.
+    that replaces the routing table drops it with the route memo.  Readers
+    only ever *fill* it: every slot holds what any other reader of the
+    same epoch would compute.
     """
 
-    __slots__ = ("_modeler", "_routes", "_fill_lock")
+    __slots__ = ("_modeler", "_routes", "_fill_lock", "_columns")
 
     def __init__(self, modeler: "Modeler", routes: "_RouteArrays | None" = None):
         self._modeler = modeler
         self._routes = routes if routes is not None else _RouteArrays()
         self._fill_lock = threading.Lock()
+        #: timeframe -> (the modeler's price table, its columns).  Columns
+        #: project that one table: once the modeler has replaced it (stamp
+        #: moved on a live view, timeframe evicted) they are rebuilt.
+        self._columns: dict[Timeframe, tuple[dict, _PriceArrays]] = {}
 
     def fork(self, modeler: "Modeler") -> "SnapshotArrays":
         """The successor epoch's arrays: same routes, no prices yet."""
@@ -185,35 +194,41 @@ class SnapshotArrays:
 
         *accuracy* is the worst accuracy among the gathered resources'
         measures, folded from 1.0 the way the scalar per-hop running min
-        folds it (NaN never wins).  Served from this epoch's price table;
+        folds it (NaN never wins).  Served from this epoch's columns;
         slots not priced yet are filled first, each from one
         ``resource_price`` read.
         """
         if not ids.size:
             return np.zeros((len(_PRICED), 0)), np.zeros(0, dtype=bool), 1.0
         modeler = self._modeler
-        table = modeler._price_table(timeframe)
-        arrays = table.arrays
-        # Six level rows and the accuracy row are read per resource.
-        served = (len(_PRICED) + 1) * ids.size
+        measures = modeler._price_table(timeframe)
+        entry = self._columns.get(timeframe)
+        filled = 0
         if (
-            arrays is None
-            or int(ids[-1]) >= len(arrays.known)
-            or not arrays.known[ids].all()
+            entry is None
+            or entry[0] is not measures
+            or int(ids[-1]) >= len(entry[1].known)
+            or not entry[1].known[ids].all()
         ):
-            arrays, priced = self._fill(table, timeframe, ids)
-            served -= priced  # resource_price counted those reads itself
-        if table.counted:
+            arrays, filled = self._fill(measures, timeframe, ids)
+        else:
+            arrays = entry[1]
+        # Six level rows and the accuracy row read per counted resource, less
+        # the reads ``resource_price`` counted itself while filling.
+        served = (len(_PRICED) + 1) * int(arrays.counted[ids].sum()) - filled
+        if served and modeler.enable_cache:
             modeler.stats.hit("bandwidth", served)
         accuracy = float(np.fmin.reduce(arrays.accuracy[ids], initial=1.0))
         return arrays.levels[:, ids], arrays.present[ids], accuracy
 
-    def _fill(self, table, timeframe: Timeframe, ids: "np.ndarray") -> tuple:
-        """Price the slots among *ids* nobody has yet: ``(columns, how many)``."""
+    def _fill(self, measures: dict, timeframe: Timeframe, ids: "np.ndarray") -> tuple:
+        """Price the slots among *ids* nobody has yet: ``(columns, counted fills)``."""
         modeler = self._modeler
         keys = self._routes.keyspace.keys
+        counted = timeframe.kind is not TimeframeKind.STATIC
         with self._fill_lock:
-            arrays = table.arrays
+            entry = self._columns.get(timeframe)
+            arrays = entry[1] if entry is not None and entry[0] is measures else None
             need = int(ids[-1]) + 1
             if arrays is None or need > len(arrays.known):
                 # Every id a query can name is already interned, so sizing
@@ -231,13 +246,23 @@ class SnapshotArrays:
                     [max(0.0, float(getattr(price, level))) for level in _PRICED]
                 )
                 accuracies.append(price.accuracy)
+            filled = 0
             if priced:
                 arrays.levels[:, priced] = np.array(columns).T
                 arrays.accuracy[priced] = accuracies
                 arrays.present[priced] = True
+                if counted:
+                    directions = [i for i in priced if len(keys[i]) == 3]
+                    arrays.counted[directions] = True
+                    filled = len(directions)
             arrays.known[missing] = True  # last: the slots now mean something
-            table.arrays = arrays
-        return arrays, len(missing)
+            if modeler.enable_cache and (entry is None or entry[1] is not arrays):
+                # Swap in a dict of only the projections of tables the modeler
+                # still serves, so its timeframe cap bounds this too.
+                live = modeler._prices
+                kept = {tf: e for tf, e in self._columns.items() if live.get(tf) is e[0]}
+                self._columns = {**kept, timeframe: (measures, arrays)}
+        return arrays, filled
 
 
 def vectorizable(fixed: list, variable: list, independent: list) -> bool:

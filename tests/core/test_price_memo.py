@@ -28,11 +28,11 @@ from repro.util import mbps
 HOSTS_PER_LEAF = 4
 
 
-def tree_topology(n_hosts: int = 16):
+def tree_topology(n_hosts: int = 16, crossbar: float | str = float("inf")):
     """core -- leaf routers -- hosts: 1 Gbps uplinks, 100 Mbps access."""
     builder = TopologyBuilder(f"tree{n_hosts}").router("core")
     for leaf in range(n_hosts // HOSTS_PER_LEAF):
-        builder.router(f"leaf{leaf}")
+        builder.router(f"leaf{leaf}", internal_bandwidth=crossbar)
         builder.link(f"leaf{leaf}", "core", "1Gbps", "0.5ms", name=f"up{leaf}")
         for index in range(leaf * HOSTS_PER_LEAF, (leaf + 1) * HOSTS_PER_LEAF):
             builder.host(f"h{index}")
@@ -137,6 +137,27 @@ class TestPricedOncePerEpoch:
             assert key in view and view[key] >= 0.0
         assert pricing_calls == priced
 
+    @pytest.mark.parametrize("n_hosts", [6, 2], ids=["vector-6", "scalar-2"])
+    def test_crossbar_constants_are_not_cache_hits(self, n_hosts):
+        """A finite crossbar is priced once too, but never stood in for a
+        series summary: warm reads count the crossed directions only."""
+        topology = tree_topology()
+        finite = tree_topology(crossbar="400Mbps")
+        hosts = hosts_of(topology)
+        flows = all_pairs(hosts[2 : 2 + n_hosts])
+        timeframe = TIMEFRAMES["history"]
+        warm_hits = []
+        for built in (topology, finite):
+            remos = Remos(sampled_view(built, random.Random(5)))
+            assert remos.flow_info(variable_flows=flows, timeframe=timeframe) == Remos(
+                remos._modeler().view, enable_cache=False
+            ).flow_info(variable_flows=flows, timeframe=timeframe)
+            hits = remos.cache_stats.hits
+            remos.flow_info(variable_flows=flows, timeframe=timeframe)
+            warm_hits.append(remos.cache_stats.hits - hits)
+        assert any(key[0] == "xbar" for key in remos._modeler()._prices[timeframe])
+        assert warm_hits[0] == warm_hits[1] > 0
+
     def test_metrics_only_fork_reprices_but_keeps_the_rows(self, pricing_calls):
         topology = tree_topology()
         view = sampled_view(topology, random.Random(7))
@@ -159,7 +180,10 @@ class TestPricedOncePerEpoch:
         assert remos.cache_stats.misses == len(crossed)
         if vectorized.vectorization_enabled():
             assert child._snaparrays._routes is parent._snaparrays._routes
-            assert child._prices[timeframe].arrays is not parent._prices[timeframe].arrays
+            assert (
+                child._snaparrays._columns[timeframe][1]
+                is not parent._snaparrays._columns[timeframe][1]
+            )
 
     def test_structural_change_drops_rows_and_prices(self):
         if not vectorized.vectorization_enabled():
@@ -206,6 +230,9 @@ class TestTimeframeCap:
         assert pricing_calls["complement"] - calls["complement"] >= len(crossed)
         assert remos.cache_stats.misses == misses
         assert list(prices) == [*timeframes[3:], timeframes[0]]
+        if vectorized.vectorization_enabled():
+            # The array projections go with the tables they project.
+            assert set(remos._modeler()._snaparrays._columns) <= set(prices)
 
 
 # -- differential: tabled == cold oracle over random interleavings -------------
@@ -291,6 +318,82 @@ def _grow(topology, extra: int):
 
 
 # -- threads: concurrent fills of one epoch's table beside a live sweeper -------
+
+
+def test_concurrent_first_queries_share_one_keyspace(monkeypatch):
+    """N readers make an epoch's *first* vectorized query at the same time.
+
+    Nobody has built the epoch's snapshot arrays yet, so every reader
+    finds none and tries to create them — slowly here, so all of them are
+    inside that window together.  They must end up filling one set of
+    columns through one keyspace and one fill lock: each reader asks for
+    different flows (so private keyspaces would number the resources
+    differently), then reads the others' flows through the warm table, and
+    every answer is checked against the cold scalar oracle.
+    """
+    from repro.core import snaparrays
+
+    built: list[int] = []
+    init = snaparrays.SnapshotArrays.__init__
+
+    def slow_init(self, *args, **kwargs):
+        time.sleep(0.02)
+        init(self, *args, **kwargs)
+        built.append(1)
+
+    monkeypatch.setattr(snaparrays.SnapshotArrays, "__init__", slow_init)
+    topology = tree_topology(32)
+    hosts = hosts_of(topology)
+    timeframe = Timeframe.history(8.0)
+    n_readers = 6
+    vectorized.set_vectorized(True)
+    try:
+        for round_seed in range(3):
+            view = sampled_view(topology, random.Random(20 + round_seed))
+            remos = Remos(view, auto_publish=False)
+            modeler = remos.publish().modeler
+            assert modeler._snaparrays is None  # a fresh epoch
+            rng = random.Random(30 + round_seed)
+            flow_sets = [all_pairs(rng.sample(hosts, 5)) for _ in range(n_readers)]
+            barrier = threading.Barrier(n_readers)
+            answers: dict[tuple[int, int], object] = {}
+            failures: list[BaseException] = []
+
+            def reader(index: int):
+                try:
+                    barrier.wait()
+                    order = [index, *(i for i in range(n_readers) if i != index)]
+                    for which in order:
+                        answers[index, which] = remos._evaluate_flow_query(
+                            modeler, [], flow_sets[which], [], timeframe
+                        )
+                except BaseException as exc:
+                    failures.append(exc)
+
+            threads = [
+                threading.Thread(target=reader, args=(i,)) for i in range(n_readers)
+            ]
+            built.clear()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures
+            assert len(built) == 1
+
+            vectorized.set_vectorized(False)
+            oracle = Modeler(modeler.view, modeler.routing, enable_cache=False)
+            expected = [
+                remos._evaluate_flow_query(oracle, [], flows, [], timeframe)
+                for flows in flow_sets
+            ]
+            vectorized.set_vectorized(True)
+            assert len(answers) == n_readers * n_readers
+            for (_, which), answer in answers.items():
+                assert answer == expected[which]
+    finally:
+        vectorized.set_vectorized(None)
 
 
 def test_concurrent_fills_return_the_single_threaded_answer():

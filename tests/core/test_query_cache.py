@@ -37,6 +37,21 @@ class TestCachedEqualsUncached:
         assert cached.cache_stats.hits > 0
         assert uncached.cache_stats.hits == 0 and uncached.cache_stats.misses == 0
 
+    def test_uncached_array_path_records_no_hits(self):
+        """A 12-flow query takes the array path (numpy live); off is off."""
+        view = measured_view(line_topology(), {("t23", "r2"): mbps(60)})
+        hosts = ["h1", "h2", "h3", "h4"]
+        flows = [Flow(a, b) for a in hosts for b in hosts if a != b]
+        cached, uncached = Remos(view), Remos(view, enable_cache=False)
+        for timeframe in (Timeframe.history(30.0), Timeframe.current()):
+            for _ in range(2):
+                assert cached.flow_info(
+                    variable_flows=flows, timeframe=timeframe
+                ) == uncached.flow_info(variable_flows=flows, timeframe=timeframe)
+        assert cached.cache_stats.hits > 0
+        assert uncached.cache_stats.hits == 0 and uncached.cache_stats.misses == 0
+        assert uncached.cache_stats.hit_rate == 0.0
+
     def test_get_graph_identical_with_and_without_cache(self):
         view = measured_view(line_topology(), {("t12", "r1"): mbps(30)})
         cached = Remos(view)
