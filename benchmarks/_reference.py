@@ -10,10 +10,11 @@ max-min pressure index).  They exist for two reasons:
   kernels produce **bit-identical** routes, rates and bottlenecks;
 * ``bench_ablation_scale.py`` times them against the optimised engine to
   record the speedup trajectory in ``BENCH_scale.json``;
-* :func:`capacity_snapshots_full` is the eager whole-network pricing the
-  lazy capacity views replaced — ``tests/core/test_hierarchical_collapse.py``
-  and ``bench_topology_scale.py`` evaluate flow queries against it to prove
-  the pruned reads answer-preserving.
+* :func:`eager_pricer` is the eager whole-network pricing the lazy
+  per-resource reads replaced — ``tests/core/test_hierarchical_collapse.py``
+  and ``bench_topology_scale.py`` hand it to the shared plan
+  (``repro.core.plan.evaluate``) in place of the modeler's lazy pricer to
+  prove the pruned reads answer-preserving.
 
 Do not "fix" or optimise this module — its value is being frozen.
 """
@@ -272,13 +273,28 @@ def reference_allocate_three_stage(capacities, fixed=None, variable=None, indepe
     return rates, satisfied, bottlenecks, current
 
 
-def capacity_snapshots_full(modeler, timeframe) -> dict[str, dict[Hashable, float]]:
-    """Eager whole-network capacity dicts, one per evaluation quantile.
+def eager_pricer(modeler, timeframe):
+    """A ``plan.evaluate`` pricer over eager whole-network reads.
 
-    The flat baseline ``Remos._evaluate_flow_query`` accepts in place of
-    its own lazy reads.
+    The flat baseline: six ``available_capacities`` sweeps price every
+    resource in the network up front, one dict per evaluation quantile,
+    whatever the flows go on to cross; ``price(key)`` then only reassembles
+    the six values (the accuracy, which those dicts do not carry, is read
+    off the resource's measure).
     """
-    return {
-        level: modeler.available_capacities(timeframe, quantile=level)
-        for level in ("minimum", "q1", "median", "q3", "maximum", "mean")
-    }
+    from repro.core.plan import PRICED
+    from repro.stats import StatMeasure
+
+    snapshots = [
+        modeler.available_capacities(timeframe, quantile=level) for level in PRICED
+    ]
+
+    def price(key):
+        if key not in snapshots[0]:
+            return None
+        *quartiles, mean = (snapshot[key] for snapshot in snapshots)
+        accuracy = modeler.resource_price(key, timeframe).accuracy
+        return StatMeasure.presorted(quartiles, mean, len(quartiles), accuracy)
+
+    return price
+

@@ -39,11 +39,11 @@ import pytest
 from repro.bench import Table
 from repro.collector import MetricsStore
 from repro.collector.base import NetworkView
-from repro.core import AUTO_COLLAPSE_THRESHOLD, Flow, FlowQuery, Remos, Timeframe
+from repro.core import AUTO_COLLAPSE_THRESHOLD, Flow, FlowQuery, Remos, Timeframe, plan
 from repro.net import fat_tree, leaf_spine
 
 from benchmarks._experiments import emit
-from benchmarks._reference import capacity_snapshots_full
+from benchmarks._reference import eager_pricer
 
 _results: dict = {}
 
@@ -195,11 +195,10 @@ def test_fat_tree_head_to_head(benchmark):
         # graph over every host, eager whole-network capacity snapshots.
         t0 = time.perf_counter()
         flat_graph = remos.get_graph(hosts, timeframe, collapse="flat")
-        snapshots = capacity_snapshots_full(modeler, timeframe)
+        resolve = plan.LocalSource(modeler, timeframe).resolve
+        price = eager_pricer(modeler, timeframe)
         full = [
-            remos._evaluate_flow_query(
-                modeler, [], list(query.variable), [], timeframe, snapshots
-            )
+            plan.evaluate(resolve, price, [], query.variable, [], timeframe)
             for query in scenarios
         ]
         flat_wall = time.perf_counter() - t0
@@ -240,11 +239,10 @@ def test_smoke_fat_tree_collapse(benchmark):
         scenarios = leave_one_out_scenarios(query_hosts)
         pruned = remos.flow_info_batch(scenarios, timeframe)
         modeler = remos._modeler()
-        snapshots = capacity_snapshots_full(modeler, timeframe)
+        resolve = plan.LocalSource(modeler, timeframe).resolve
+        price = eager_pricer(modeler, timeframe)
         full = [
-            remos._evaluate_flow_query(
-                modeler, [], list(query.variable), [], timeframe, snapshots
-            )
+            plan.evaluate(resolve, price, [], query.variable, [], timeframe)
             for query in scenarios
         ]
         return remos, all_graph, small_graph, pruned, full

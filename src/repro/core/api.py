@@ -22,25 +22,63 @@ from __future__ import annotations
 import threading
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Hashable
 
 from repro import obs
 from repro.collector.base import Collector, NetworkView
 from repro.core.cachestats import CacheStats
-from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, FlowQuery, MulticastFlow
+from repro.core.flows import Flow, FlowInfoResult, FlowQuery
 from repro.core.graph import RemosGraph
 from repro.core.modeler import Modeler
+from repro.core import plan as _plan
 from repro.core import snaparrays as _snaparrays
 from repro.core.snapshot import Snapshot, SnapshotPublisher
 from repro.core.timeframe import Timeframe
-from repro.fairshare import FlowRequest, StagedProblem, admission_report
 from repro.fairshare import vectorized as _vectorized
 from repro.stats import StatMeasure
 from repro.util.errors import CollectorError, QueryError
 
-# Quantiles at which flow allocations are evaluated, pessimistic first.
-_LEVELS = ("minimum", "q1", "median", "q3", "maximum")
+
+@contextmanager
+def query_frame(facade, kind: str, pin=None):
+    """The frame around every public query of either facade.
+
+    Counts the query, opens its ``query.<kind>`` span, and on the way out
+    records its wall time.  *pin* — ``Remos`` passes its ``_modeler`` — is
+    called inside the span (publication work belongs to the query that
+    triggered it) and grabs the one modeler the query must use throughout:
+    a sweep publishing a new epoch mid-query must not split the answer
+    across generations.  Yields ``(span, modeler)``; a query that succeeds
+    under a pinned modeler gets the trace taxonomy's ``generation`` and
+    per-query cache hit/miss deltas stamped on its span.
+    """
+    with facade._query_count_lock:
+        facade.queries_answered += 1
+    started = time.perf_counter()
+    stats = facade.cache_stats
+    try:
+        with obs.span(f"query.{kind}") as sp:
+            modeler = pin() if pin is not None else None
+            annotate = bool(sp) and modeler is not None
+            if annotate:
+                hits, misses = stats.hits, stats.misses
+            yield sp, modeler
+            if annotate:
+                sp.set(
+                    generation=modeler.view.generation,
+                    cache_hits=stats.hits - hits,
+                    cache_misses=stats.misses - misses,
+                )
+    finally:
+        elapsed = time.perf_counter() - started
+        stats.record_query(elapsed)
+        obs.observe(
+            "remos_query_seconds",
+            elapsed,
+            help="Wall-clock seconds per answered Remos query",
+            query=kind,
+        )
 
 
 @dataclass
@@ -153,29 +191,6 @@ class Remos:
         """The current snapshot's modeler (one per published epoch)."""
         return self._snapshot().modeler
 
-    def _begin_query(self) -> float:
-        with self._query_count_lock:
-            self.queries_answered += 1
-        return time.perf_counter()
-
-    def _end_query(self, started: float, kind: str) -> None:
-        elapsed = time.perf_counter() - started
-        self.cache_stats.record_query(elapsed)
-        obs.observe(
-            "remos_query_seconds",
-            elapsed,
-            help="Wall-clock seconds per answered Remos query",
-            query=kind,
-        )
-
-    def _annotate_query_span(self, span, modeler: Modeler, hits: int, misses: int) -> None:
-        """Stamp a query span with the attributes the trace taxonomy promises."""
-        span.set(
-            generation=modeler.view.generation,
-            cache_hits=self.cache_stats.hits - hits,
-            cache_misses=self.cache_stats.misses - misses,
-        )
-
     # -- topology queries -----------------------------------------------------
 
     def get_graph(
@@ -194,19 +209,11 @@ class Remos:
         ``collapse`` attribute names the path taken.
         """
         timeframe = timeframe or Timeframe.current()
-        started = self._begin_query()
-        with obs.span("query.get_graph") as sp:
-            try:
-                modeler = self._modeler()
-                if sp:
-                    hits, misses = self.cache_stats.hits, self.cache_stats.misses
-                graph = modeler.logical_graph(list(nodes), timeframe, collapse)
-                if sp:
-                    self._annotate_query_span(sp, modeler, hits, misses)
-                    sp.set(node_count=len(nodes), collapse=graph.collapse)
-                return graph
-            finally:
-                self._end_query(started, "get_graph")
+        with query_frame(self, "get_graph", self._modeler) as (sp, modeler):
+            graph = modeler.logical_graph(list(nodes), timeframe, collapse)
+            if sp:
+                sp.set(node_count=len(nodes), collapse=graph.collapse)
+            return graph
 
     # -- flow queries ------------------------------------------------------------
 
@@ -229,29 +236,18 @@ class Remos:
         independent = list(independent_flows or [])
         if not fixed and not variable and not independent:
             raise QueryError("flow_info requires at least one flow")
-        started = self._begin_query()
-        with obs.span("query.flow_info") as sp:
-            try:
-                # Grab the snapshot's modeler once and use it throughout:
-                # a sweep publishing a new epoch mid-query must not split
-                # the answer across generations.
-                modeler = self._modeler()
-                if sp:
-                    hits, misses = self.cache_stats.hits, self.cache_stats.misses
-                result = self._evaluate_flow_query(
-                    modeler, fixed, variable, independent, timeframe
+        with query_frame(self, "flow_info", self._modeler) as (sp, modeler):
+            result = self._evaluate_flow_query(
+                modeler, fixed, variable, independent, timeframe
+            )
+            if sp:
+                sp.set(
+                    flow_count=len(fixed) + len(variable) + len(independent),
+                    fixed=len(fixed),
+                    variable=len(variable),
+                    independent=len(independent),
                 )
-                if sp:
-                    self._annotate_query_span(sp, modeler, hits, misses)
-                    sp.set(
-                        flow_count=len(fixed) + len(variable) + len(independent),
-                        fixed=len(fixed),
-                        variable=len(variable),
-                        independent=len(independent),
-                    )
-                return result
-            finally:
-                self._end_query(started, "flow_info")
+            return result
 
     def flow_info_batch(
         self,
@@ -278,193 +274,41 @@ class Remos:
         scenarios = list(queries)
         if not scenarios:
             return []
-        started = self._begin_query()
-        with obs.span("query.flow_info_batch") as sp:
-            try:
-                modeler = self._modeler()
-                if sp:
-                    hits, misses = self.cache_stats.hits, self.cache_stats.misses
-                results = [
-                    self._evaluate_flow_query(
-                        modeler,
-                        list(scenario.fixed),
-                        list(scenario.variable),
-                        list(scenario.independent),
-                        timeframe,
-                    )
-                    for scenario in scenarios
-                ]
-                if sp:
-                    self._annotate_query_span(sp, modeler, hits, misses)
-                    sp.set(
-                        scenario_count=len(scenarios),
-                        flow_count=sum(len(s.flows) for s in scenarios),
-                    )
-                return results
-            finally:
-                self._end_query(started, "flow_info_batch")
+        with query_frame(self, "flow_info_batch", self._modeler) as (sp, modeler):
+            results = [
+                self._evaluate_flow_query(
+                    modeler, s.fixed, s.variable, s.independent, timeframe
+                )
+                for s in scenarios
+            ]
+            if sp:
+                sp.set(
+                    scenario_count=len(scenarios),
+                    flow_count=sum(len(s.flows) for s in scenarios),
+                )
+            return results
 
+    @staticmethod
     def _evaluate_flow_query(
-        self,
-        modeler: Modeler,
-        fixed: list[Flow],
-        variable: list[Flow],
-        independent: list[Flow],
-        timeframe: Timeframe,
-        snapshots: "dict[str, dict[Hashable, float]] | None" = None,
+        modeler: Modeler, fixed, variable, independent, timeframe: Timeframe
     ) -> FlowInfoResult:
         """One scenario's answer against *modeler*'s epoch.
 
-        *snapshots* (one capacity mapping per evaluation quantile) is for
-        differential tests that supply eager whole-network dicts; they get
-        the scalar path below.  Queries leave it out and read the epoch's
-        prices instead — large all-unicast scenarios through the array
-        evaluator (same validation, same staged solve, bit-identical
-        answers: ``repro.core.snaparrays``), everything else through lazy
-        capacity views, which price only the resources the flows cross
-        (uncrossed resources never influence a max-min allocation).  The
-        scalar path doubles as the no-numpy fallback and the oracle.
+        The one place a kernel is chosen: large all-unicast scenarios go
+        through the array evaluator (``repro.core.snaparrays``), everything
+        else through the shared plan over a local resolver/pricer
+        (``repro.core.plan``) — same validation, same staged solve,
+        bit-identical answers.  The plan doubles as the no-numpy fallback
+        and the oracle.
         """
-        if snapshots is None:
-            if _snaparrays.vectorizable(fixed, variable, independent):
-                return _snaparrays.evaluate_flow_query(
-                    modeler, fixed, variable, independent, timeframe
-                )
-            snapshots = {
-                level: modeler.capacity_view(timeframe, quantile=level)
-                for level in (*_LEVELS, "mean")
-            }
-        topology = modeler.view.topology
-        for flow in (*fixed, *variable, *independent):
-            endpoints = (flow.src, *flow.dsts) if isinstance(flow, MulticastFlow) else (
-                flow.src,
-                flow.dst,
+        if _snaparrays.vectorizable(fixed, variable, independent):
+            return _snaparrays.evaluate_flow_query(
+                modeler, fixed, variable, independent, timeframe
             )
-            for endpoint in endpoints:
-                if not topology.has_node(endpoint):
-                    raise QueryError(f"unknown flow endpoint {endpoint!r}")
-                if not topology.node(endpoint).is_compute:
-                    raise QueryError(
-                        f"flow endpoints must be compute nodes; {endpoint!r} is not"
-                    )
-
-        def resources_of(flow) -> tuple:
-            if isinstance(flow, MulticastFlow):
-                return modeler.resources_for_tree(flow.src, list(flow.dsts))
-            return modeler.resources_for_route(flow.src, flow.dst)
-
-        def requests(flows: list[Flow], klass: str) -> list[FlowRequest]:
-            return [
-                FlowRequest(
-                    flow_id=flow.label(index, klass),
-                    resources=resources_of(flow),
-                    requested=flow.requested,
-                    cap=flow.cap,
-                )
-                for index, flow in enumerate(flows)
-            ]
-
-        fixed_requests = requests(fixed, "fixed")
-        variable_requests = requests(variable, "variable")
-        independent_requests = requests(independent, "independent")
-        all_ids = [r.flow_id for r in (*fixed_requests, *variable_requests, *independent_requests)]
-        if len(set(all_ids)) != len(all_ids):
-            raise QueryError("flow labels must be unique within a query")
-
-        # Evaluate the allocation at each availability quantile.  The
-        # staged problem (demand validation + crossing indices) is prepared
-        # once and solved per level, against only the capacities the
-        # queried flows actually cross — pruning is result-preserving
-        # because uncrossed resources never influence a max-min allocation.
-        problem = StagedProblem(
-            fixed=fixed_requests,
-            variable=variable_requests,
-            independent=independent_requests,
+        local = _plan.LocalSource(modeler, timeframe)
+        return _plan.evaluate(
+            local.resolve, local.price, fixed, variable, independent, timeframe
         )
-        keys = problem.resource_keys()
-        rates_by_level: dict[str, dict[Hashable, float]] = {}
-        median_allocation = None
-        for level in (*_LEVELS, "mean"):
-            full = snapshots[level]
-            capacities = {}
-            for key in keys:
-                value = full.get(key)  # one read; None = constrains nothing
-                if value is not None:
-                    capacities[key] = value
-            allocation = problem.solve(capacities)
-            rates_by_level[level] = allocation.rates
-            if level == "median":
-                median_allocation = allocation
-        assert median_allocation is not None
-
-        # Overall answer accuracy: the worst accuracy among the directions
-        # any queried flow traverses.
-        accuracy = self._query_accuracy(
-            modeler, timeframe, fixed + variable + independent
-        )
-
-        def answers(flows: list[Flow], reqs: list[FlowRequest], klass: str) -> list[FlowAnswer]:
-            result = []
-            for flow, request in zip(flows, reqs):
-                label = request.flow_id
-                # Rates at rising availability quantiles are monotone in all
-                # common cases; sorting guards the rare multi-bottleneck
-                # exception so the StatMeasure invariant always holds.
-                quartiles = sorted(rates_by_level[level][label] for level in _LEVELS)
-                bandwidth = StatMeasure(
-                    minimum=quartiles[0],
-                    q1=quartiles[1],
-                    median=quartiles[2],
-                    q3=quartiles[3],
-                    maximum=quartiles[4],
-                    mean=rates_by_level["mean"][label],
-                    n_samples=len(_LEVELS),
-                    accuracy=accuracy,
-                )
-                if isinstance(flow, MulticastFlow):
-                    tree = modeler.routing.multicast_tree(flow.src, list(flow.dsts))
-                    latency, hop_count = tree.max_latency, len(tree.hops)
-                else:
-                    route = modeler.routing.route(flow.src, flow.dst)
-                    latency, hop_count = route.latency, route.hop_count
-                result.append(
-                    FlowAnswer(
-                        flow=flow,
-                        label=label,
-                        bandwidth=bandwidth,
-                        latency=StatMeasure.constant(latency),
-                        hop_count=hop_count,
-                        satisfied=(
-                            median_allocation.satisfied.get(label)
-                            if klass == "fixed"
-                            else None
-                        ),
-                        bottleneck=median_allocation.bottlenecks.get(label),
-                    )
-                )
-            return result
-
-        return FlowInfoResult(
-            timeframe=timeframe,
-            fixed=answers(fixed, fixed_requests, "fixed"),
-            variable=answers(variable, variable_requests, "variable"),
-            independent=answers(independent, independent_requests, "independent"),
-        )
-
-    @staticmethod
-    def _query_accuracy(
-        modeler: Modeler, timeframe: Timeframe, flows: list[Flow]
-    ) -> float:
-        accuracy = 1.0
-        for flow in flows:
-            if isinstance(flow, MulticastFlow):
-                hops = modeler.routing.multicast_tree(flow.src, list(flow.dsts)).hops
-            else:
-                hops = modeler.routing.route(flow.src, flow.dst).hops
-            for hop in hops:
-                measure = modeler.available_bandwidth(hop, timeframe)
-                accuracy = min(accuracy, measure.accuracy)
-        return accuracy
 
     # -- node (computation/memory) queries --------------------------------------
 
@@ -472,30 +316,22 @@ class Remos:
         """The paper's "simple interface to computation and memory
         resources" (§2): static speed/memory plus measured CPU load."""
         timeframe = timeframe or Timeframe.current()
-        started = self._begin_query()
-        with obs.span("query.node_info") as sp:
-            try:
-                modeler = self._modeler()
-                if sp:
-                    hits, misses = self.cache_stats.hits, self.cache_stats.misses
-                node = modeler.view.topology.node(host)
-                if not node.is_compute:
-                    raise QueryError(
-                        f"node_info is only defined for compute nodes, not {host!r}"
-                    )
-                load = modeler.cpu_load(host, timeframe)
-                if sp:
-                    self._annotate_query_span(sp, modeler, hits, misses)
-                    sp.set(host=host)
-                return NodeAnswer(
-                    name=host,
-                    compute_speed=node.compute_speed,
-                    memory_bytes=node.memory_bytes,
-                    cpu_load=load,
-                    cpu_available=load.complement_of(1.0),
+        with query_frame(self, "node_info", self._modeler) as (sp, modeler):
+            node = modeler.view.topology.node(host)
+            if not node.is_compute:
+                raise QueryError(
+                    f"node_info is only defined for compute nodes, not {host!r}"
                 )
-            finally:
-                self._end_query(started, "node_info")
+            load = modeler.cpu_load(host, timeframe)
+            if sp:
+                sp.set(host=host)
+            return NodeAnswer(
+                name=host,
+                compute_speed=node.compute_speed,
+                memory_bytes=node.memory_bytes,
+                cpu_load=load,
+                cpu_available=load.complement_of(1.0),
+            )
 
     # -- admission / guaranteed-service queries --------------------------------
 
@@ -515,37 +351,12 @@ class Remos:
         timeframe = timeframe or Timeframe.current()
         if not fixed_flows:
             raise QueryError("check_admission requires at least one flow")
-        started = self._begin_query()
-        with obs.span("query.check_admission") as sp:
-            try:
-                modeler = self._modeler()
-                if sp:
-                    hits, misses = self.cache_stats.hits, self.cache_stats.misses
-                requests = []
-                for index, flow in enumerate(fixed_flows):
-                    if isinstance(flow, MulticastFlow):
-                        resources = modeler.resources_for_tree(flow.src, list(flow.dsts))
-                    else:
-                        resources = modeler.resources_for_route(flow.src, flow.dst)
-                    requests.append(
-                        FlowRequest(
-                            flow_id=flow.label(index, "fixed"),
-                            resources=resources,
-                            requested=flow.requested,
-                            cap=flow.requested,
-                        )
-                    )
-                # Lazy view: admission only reads the resources the
-                # requests cross, so the check stays flow-sized on
-                # arbitrarily large networks.
-                capacities = modeler.capacity_view(timeframe, quantile="median")
-                report = admission_report(capacities, requests)
-                if sp:
-                    self._annotate_query_span(sp, modeler, hits, misses)
-                    sp.set(flow_count=len(fixed_flows))
-                return report
-            finally:
-                self._end_query(started, "check_admission")
+        with query_frame(self, "check_admission", self._modeler) as (sp, modeler):
+            local = _plan.LocalSource(modeler, timeframe)
+            report = _plan.admission(local.resolve, local.price, fixed_flows)
+            if sp:
+                sp.set(flow_count=len(fixed_flows))
+            return report
 
     # -- telemetry --------------------------------------------------------------
 

@@ -37,6 +37,11 @@ class Flow:
         if self.cap <= 0:
             raise QueryError(f"flow {self.src}->{self.dst}: cap must be positive")
 
+    @property
+    def endpoints(self) -> tuple[str, ...]:
+        """Every node the flow starts or ends at, source first."""
+        return (self.src, self.dst)
+
     def label(self, index: int, klass: str) -> str:
         """Stable identifier used in answers (explicit name wins)."""
         return self.name or f"{klass}[{index}]:{self.src}->{self.dst}"
@@ -68,6 +73,11 @@ class MulticastFlow:
             raise QueryError(f"multicast flow from {src!r}: negative request")
         if self.cap <= 0:
             raise QueryError(f"multicast flow from {src!r}: cap must be positive")
+
+    @property
+    def endpoints(self) -> tuple[str, ...]:
+        """Every node the flow starts or ends at, source first."""
+        return (self.src, *self.dsts)
 
     @property
     def dst(self) -> str:

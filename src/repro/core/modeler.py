@@ -702,7 +702,7 @@ class Modeler:
         (``"minimum"``/``"q1"``/``"median"``/``"q3"``/``"maximum"``/
         ``"mean"``); finite node crossbars contribute their static internal
         bandwidth.  Queries read only what their flows cross, through
-        :meth:`capacity_view`; this whole-world form is the oracle tests and
+        :meth:`resource_price`; this whole-world form is the oracle tests and
         benchmarks compare those reads against.
         """
         now = self.now  # one evaluation time for the whole sweep
@@ -718,11 +718,10 @@ class Modeler:
     def capacity_view(self, timeframe: Timeframe, quantile: str = "median") -> "CapacityView":
         """A lazy view of :meth:`available_capacities` for one quantile.
 
-        Flow and admission queries only ever read the resources their
-        flows cross; the view prices exactly those on demand — values
-        bit-identical to the eager whole-network dict — so per-query cost
-        scales with the flows, not with the network (see
-        ``docs/TOPOLOGIES.md``).
+        The dict-like form of :meth:`resource_price`: it prices exactly
+        the keys it is asked for, on demand — values bit-identical to the
+        eager whole-network dict — so a caller's cost scales with what it
+        reads, not with the network (see ``docs/TOPOLOGIES.md``).
         """
         return CapacityView(self, timeframe, quantile)
 
@@ -1226,12 +1225,12 @@ class Modeler:
 class CapacityView:
     """Lazy stand-in for one ``available_capacities(timeframe, quantile)`` dict.
 
-    Supports exactly the read protocol the allocation paths use (``in``,
-    ``[]``, ``.get``): a quantile selector over the modeler's price memo,
-    so every value served is bit-identical to the eager dict's entry for
-    that key and six views over one timeframe price each resource once
-    between them.  Absent keys stay absent: infinite crossbars are not
-    materialised, and unknown resources miss exactly like a dict.
+    Supports the dict read protocol (``in``, ``[]``, ``.get``): a quantile
+    selector over the modeler's price memo, so every value served is
+    bit-identical to the eager dict's entry for that key and six views
+    over one timeframe price each resource once between them.  Absent keys
+    stay absent: infinite crossbars are not materialised, and unknown
+    resources miss exactly like a dict.
     """
 
     __slots__ = ("_modeler", "_timeframe", "_quantile")

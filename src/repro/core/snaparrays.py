@@ -28,14 +28,22 @@ i.e. one per published epoch) has two halves:
   fancy index each.  Ids, fill lock and columns have this one owner, so
   every reader of an epoch fills the same columns through the same ids.
 
-:func:`evaluate_flow_query` mirrors ``Remos._evaluate_flow_query`` step
-for step — same validation order, same staged fixed → variable →
-independent chaining, same per-level ``fairshare.allocate`` spans — with
-the filling loop delegated to :func:`repro.fairshare.vectorized.fill`.
-Answers are **bit-identical** to the scalar path (differentially fuzzed
-in ``tests/fairshare/test_vectorized_maxmin.py`` and gated in
-``benchmarks/bench_ablation_scale.py``); the scalar path remains the
-oracle and the no-numpy fallback.
+:func:`evaluate_flow_query` is the size-selected kernel beside the shared
+scalar plan (:mod:`repro.core.plan`); ``Remos._evaluate_flow_query``
+dispatches between them on :func:`vectorizable`.  What the two share is a
+contract, not code: the same endpoint validation
+(``plan.validate_endpoint``) and label-uniqueness check raising the same
+``QueryError`` texts, the same ``Flow.label`` labels and evaluation levels
+(``plan.LEVELS``/``PRICED``), the same staged fixed → variable →
+independent chaining under one ``fairshare.allocate`` span per level, one
+counted price read per crossed direction, and the same result assembly —
+quartiles sorted per flow, accuracy the worst among the priced resources,
+``satisfied``/``bottleneck`` read at the median.  The filling loop is
+:func:`repro.fairshare.vectorized.fill`.  Answers are **bit-identical** to
+the plan's (differentially fuzzed in
+``tests/fairshare/test_vectorized_maxmin.py`` and gated in
+``benchmarks/bench_ablation_scale.py``); the plan remains the oracle and
+the no-numpy fallback.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, MulticastFlow
+from repro.core.plan import LEVELS, PRICED, validate_endpoint
 from repro.core.timeframe import Timeframe, TimeframeKind
 from repro.fairshare import vectorized as _vectorized
 from repro.fairshare.maxmin import _EPS
@@ -57,10 +66,6 @@ if HAVE_NUMPY:
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.modeler import Modeler
-
-_LEVELS = ("minimum", "q1", "median", "q3", "maximum")
-#: Row order of :attr:`_PriceArrays.levels`.
-_PRICED = (*_LEVELS, "mean")
 
 
 class _RouteArrays:
@@ -88,7 +93,7 @@ class _RouteArrays:
 class _PriceArrays:
     """One timeframe's price table as id-indexed columns.
 
-    ``levels[r, i]`` is ``max(0.0, price_i.<_PRICED[r]>)`` — the entry
+    ``levels[r, i]`` is ``max(0.0, price_i.<PRICED[r]>)`` — the entry
     clamp of the scalar solve, NaN → 0.0 included — or 0.0 where
     ``present[i]`` is False (the resource constrains nothing);
     ``accuracy[i]`` is the measure's accuracy (1.0 where absent, neutral
@@ -106,7 +111,7 @@ class _PriceArrays:
         self.known = np.zeros(size, dtype=bool)
         self.present = np.zeros(size, dtype=bool)
         self.counted = np.zeros(size, dtype=bool)
-        self.levels = np.zeros((len(_PRICED), size), dtype=np.float64)
+        self.levels = np.zeros((len(PRICED), size), dtype=np.float64)
         self.accuracy = np.ones(size, dtype=np.float64)
         if old is not None:
             n = len(old.known)
@@ -150,16 +155,10 @@ class SnapshotArrays:
         valid = self._routes.endpoints
         topology = self._modeler.view.topology
         for flow in flows:
-            for endpoint in (flow.src, flow.dst):
-                if endpoint in valid:
-                    continue
-                if not topology.has_node(endpoint):
-                    raise QueryError(f"unknown flow endpoint {endpoint!r}")
-                if not topology.node(endpoint).is_compute:
-                    raise QueryError(
-                        f"flow endpoints must be compute nodes; {endpoint!r} is not"
-                    )
-                valid.add(endpoint)
+            for endpoint in flow.endpoints:
+                if endpoint not in valid:
+                    validate_endpoint(topology, endpoint)
+                    valid.add(endpoint)
 
     def route_row(self, src: str, dst: str) -> "np.ndarray":
         """The interned id row for the (src, dst) route."""
@@ -199,7 +198,7 @@ class SnapshotArrays:
         ``resource_price`` read.
         """
         if not ids.size:
-            return np.zeros((len(_PRICED), 0)), np.zeros(0, dtype=bool), 1.0
+            return np.zeros((len(PRICED), 0)), np.zeros(0, dtype=bool), 1.0
         modeler = self._modeler
         measures = modeler._price_table(timeframe)
         entry = self._columns.get(timeframe)
@@ -213,9 +212,9 @@ class SnapshotArrays:
             arrays, filled = self._fill(measures, timeframe, ids)
         else:
             arrays = entry[1]
-        # Six level rows and the accuracy row read per counted resource, less
-        # the reads ``resource_price`` counted itself while filling.
-        served = (len(_PRICED) + 1) * int(arrays.counted[ids].sum()) - filled
+        # One read per counted resource, as on the scalar path, less the
+        # slots this query filled itself (those reads were the misses).
+        served = int(arrays.counted[ids].sum()) - filled
         if served and modeler.enable_cache:
             modeler.stats.hit("bandwidth", served)
         accuracy = float(np.fmin.reduce(arrays.accuracy[ids], initial=1.0))
@@ -243,7 +242,7 @@ class SnapshotArrays:
                     continue  # constrains nothing: stays absent
                 priced.append(ident)
                 columns.append(
-                    [max(0.0, float(getattr(price, level))) for level in _PRICED]
+                    [max(0.0, float(getattr(price, level))) for level in PRICED]
                 )
                 accuracies.append(price.accuracy)
             filled = 0
@@ -286,7 +285,7 @@ def evaluate_flow_query(
     independent: list[Flow],
     timeframe: Timeframe,
 ) -> FlowInfoResult:
-    """Array-native mirror of ``Remos._evaluate_flow_query``.
+    """The array kernel for one scenario: ``plan.evaluate``'s contract.
 
     Same validation, same staged chaining, same spans, bit-identical
     answers; the caller dispatches here only when :func:`vectorizable`
@@ -389,7 +388,7 @@ def evaluate_flow_query(
     rates: dict[tuple[str, str], "np.ndarray"] = {}
     median_bottleneck: dict[str, "np.ndarray"] = {}
     median_satisfied = None
-    for level, clamped in zip(_PRICED, levels):
+    for level, clamped in zip(PRICED, levels):
         remaining = np.zeros(size, dtype=np.float64)
         remaining[uniq] = clamped
         with obs.span("fairshare.allocate") as sp:
@@ -427,7 +426,7 @@ def evaluate_flow_query(
     def answers(klass: str, flows: list[Flow]) -> list[FlowAnswer]:
         if not flows:
             return []
-        level_rates = [rates[(klass, level)] for level in _LEVELS]
+        level_rates = [rates[(klass, level)] for level in LEVELS]
         stack = np.stack(level_rates)
         if np.isnan(stack).any():  # pragma: no cover - NaN rates are exotic
             # Python sorted's NaN ordering differs from np.sort's; take
@@ -446,7 +445,7 @@ def evaluate_flow_query(
         res_keys = stage_by_class[klass].res_keys
         klass_labels = labels[klass]
         fixed_klass = klass == "fixed" and median_satisfied is not None
-        n_levels = len(_LEVELS)
+        n_levels = len(LEVELS)
         measure = StatMeasure.presorted
         result = []
         for i, flow in enumerate(flows):

@@ -28,18 +28,18 @@ query's own footprint, never by the total host count.
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from typing import Hashable
 
 from repro import obs
 from repro.collector.cell import Cell, ShardRegistry
-from repro.core.api import _LEVELS
-from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, FlowQuery, MulticastFlow
+from repro.core import plan
+from repro.core.api import query_frame
+from repro.core.flows import Flow, FlowInfoResult, FlowQuery, MulticastFlow
 from repro.core.graph import RemosEdge, RemosGraph, RemosNode
-from repro.core.modeler import AUTO_COLLAPSE_THRESHOLD, Modeler
+from repro.core.modeler import Modeler
+from repro.core.plan import Footprint, LocalSource
 from repro.core.timeframe import Timeframe
-from repro.fairshare import FlowRequest, StagedProblem, admission_report
 from repro.federation.aggregator import Aggregator
 from repro.federation.summary import FederationSummary, SummaryEdge
 from repro.stats import StatMeasure
@@ -133,24 +133,35 @@ class _QueryPin:
     snapshot (and the federation summary) once keeps a single answer from
     straddling epochs.  Lazy: only the shards the query actually touches
     are pinned.
+
+    The pin *is* the cross-shard resolver and pricer the shared plan
+    (:mod:`repro.core.plan`) runs over: :meth:`resolve` composes a flow's
+    footprint from the owning shards' exact route segments joined by
+    summary edges, remembering which shard resolved each key, and
+    :meth:`price` reads each key from that owner — or, for a summary
+    edge, from the member-minimum :meth:`edge_measure`.
     """
 
     def __init__(self, remos: "FederatedRemos", timeframe: Timeframe):
         self._remos = remos
         self.timeframe = timeframe
         self.summary: FederationSummary = remos._summary()
-        self._modelers: dict[str, Modeler] = {}
+        self._locals: dict[str, LocalSource] = {}
         self._backbone_modelers: dict[str, Modeler] = {}
-        self._capacity_views: dict[tuple[str, str], object] = {}
         self._edge_measures: dict[tuple[str, str, str], StatMeasure] = {}
         self._gateway_shard: dict[str, str] | None = None
+        #: Resource key -> the shard source that resolved it.
+        self._owners: dict[Hashable, LocalSource] = {}
+        #: Summary-edge resource key -> (edge, shard it is crossed leaving).
+        self._crossings: dict[Hashable, tuple[SummaryEdge, str]] = {}
 
-    def modeler(self, shard: str) -> Modeler:
-        modeler = self._modelers.get(shard)
-        if modeler is None:
+    def local(self, shard: str) -> LocalSource:
+        """The shard's resolver/pricer over its snapshot pinned here."""
+        local = self._locals.get(shard)
+        if local is None:
             modeler = self._remos.registry.cell(shard).snapshot().modeler
-            self._modelers[shard] = modeler
-        return modeler
+            local = self._locals[shard] = LocalSource(modeler, self.timeframe)
+        return local
 
     def backbone_modeler(self, owner: str) -> Modeler:
         modeler = self._backbone_modelers.get(owner)
@@ -161,14 +172,6 @@ class _QueryPin:
             modeler = backbone.snapshot().modeler
             self._backbone_modelers[owner] = modeler
         return modeler
-
-    def capacity_view(self, shard: str, level: str):
-        key = (shard, level)
-        view = self._capacity_views.get(key)
-        if view is None:
-            view = self.modeler(shard).capacity_view(self.timeframe, quantile=level)
-            self._capacity_views[key] = view
-        return view
 
     def edge_measure(self, edge: SummaryEdge, from_shard: str) -> StatMeasure:
         """Availability of a summary edge crossed *leaving* ``from_shard``.
@@ -203,26 +206,82 @@ class _QueryPin:
         self._edge_measures[cache_key] = measure
         return measure
 
+    def _owned(self, local: LocalSource, footprint: Footprint) -> Footprint:
+        for key in footprint.resources:
+            self._owners[key] = local
+        return footprint
+
+    def resolve(self, flow) -> Footprint:
+        """Compose one flow's resource footprint across shards."""
+        shard_of = self._remos.registry.shard_of
+        shards = []
+        for endpoint in flow.endpoints:
+            shard = shard_of(endpoint)
+            if shard is None:
+                raise QueryError(f"unknown flow endpoint {endpoint!r}")
+            self.local(shard).validate(endpoint)
+            shards.append(shard)
+        src_shard, dst_shard = shards[0], shards[-1]
+        if len(set(shards)) == 1:
+            local = self.local(src_shard)
+            return self._owned(local, local.resolve(flow))
+        if isinstance(flow, MulticastFlow):
+            raise QueryError(
+                "cross-shard multicast flows are not supported; "
+                f"{flow.src!r} -> {flow.dst} spans shards {sorted(set(shards))}"
+            )
+        # Exact segments to/from the border gateways, summary edges in
+        # between.  Transit shards are crossed gateway-to-gateway over the
+        # backbone — no intra-transit detail is touched.  The segments
+        # anchor at the border routers the summary path actually attaches
+        # to: with several gateways per cell, gateways[0] could disagree
+        # with the WAN edge's endpoint and leave the composed footprint
+        # missing the inter-gateway hop.
+        path = self.summary.summary_path(src_shard, dst_shard)
+        src_local, dst_local = self.local(src_shard), self.local(dst_shard)
+        head = self._owned(
+            src_local, src_local.segment(flow.src, path[0].gateway_of(src_shard))
+        )
+        tail = self._owned(
+            dst_local, dst_local.segment(path[-1].gateway_of(dst_shard), flow.dst)
+        )
+        resources = list(head.resources)
+        latency = head.latency + tail.latency
+        from_shard = src_shard
+        for edge in path:
+            key = fed_key(edge, from_shard)
+            self._crossings[key] = (edge, from_shard)
+            resources.append(key)
+            latency += edge.latency
+            from_shard = edge.other(from_shard)
+        resources.extend(tail.resources)
+        # Deduplicated in first-reference order (a gateway crossbar could
+        # appear in both segments' expansions on loops).
+        return Footprint(
+            tuple(dict.fromkeys(resources)),
+            latency,
+            head.hop_count + len(path) + tail.hop_count,
+        )
+
+    def price(self, key: Hashable) -> StatMeasure:
+        """What *key* offers: exact from its shard, conservative on the WAN.
+
+        A key no shard can price would read as unconstrained and make the
+        federated answer *less* strict than the oracle's — refused instead.
+        """
+        crossing = self._crossings.get(key)
+        if crossing is not None:
+            return self.edge_measure(*crossing)
+        owner = self._owners.get(key)
+        measure = owner.price(key) if owner is not None else None
+        if measure is None:
+            raise QueryError(f"no shard can price resource {key!r}")
+        return measure
+
 
 def fed_key(edge: SummaryEdge, from_shard: str) -> tuple:
     """The directed allocation resource key of a summary edge."""
     return (FED_RESOURCE, edge.a, edge.b, "ab" if from_shard == edge.a else "ba")
-
-
-class _FlowPlan:
-    """One flow's composed resource footprint inside a cross-shard query."""
-
-    __slots__ = ("flow", "resources", "latency", "hop_count", "intra", "edges")
-
-    def __init__(self, flow, resources, latency, hop_count, intra, edges):
-        self.flow = flow
-        self.resources: tuple[Hashable, ...] = resources
-        self.latency: float = latency
-        self.hop_count: int = hop_count
-        #: (shard, route) pairs for accuracy accounting.
-        self.intra: tuple = intra
-        #: (edge, from_shard) pairs crossed, in order.
-        self.edges: tuple = edges
 
 
 class FederatedRemos:
@@ -292,21 +351,6 @@ class FederatedRemos:
 
     # -- shared query plumbing ---------------------------------------------------
 
-    def _begin_query(self) -> float:
-        with self._query_count_lock:
-            self.queries_answered += 1
-        return time.perf_counter()
-
-    def _end_query(self, started: float, kind: str) -> None:
-        elapsed = time.perf_counter() - started
-        self.cache_stats.record_query(elapsed)
-        obs.observe(
-            "remos_query_seconds",
-            elapsed,
-            help="Wall-clock seconds per answered Remos query",
-            query=kind,
-        )
-
     def home_shard(self, names) -> str | None:
         """The single shard owning every name, or None when they span shards.
 
@@ -326,21 +370,6 @@ class FederatedRemos:
 
     def _cell(self, shard: str) -> Cell:
         return self.registry.cell(shard)
-
-    @staticmethod
-    def _endpoints_of(flow) -> tuple[str, ...]:
-        if isinstance(flow, MulticastFlow):
-            return (flow.src, *flow.dsts)
-        return (flow.src, flow.dst)
-
-    def _validate_endpoint(self, pin: _QueryPin, shard: str, endpoint: str) -> None:
-        topology = pin.modeler(shard).view.topology
-        if not topology.has_node(endpoint):
-            raise QueryError(f"unknown flow endpoint {endpoint!r}")
-        if not topology.node(endpoint).is_compute:
-            raise QueryError(
-                f"flow endpoints must be compute nodes; {endpoint!r} is not"
-            )
 
     # -- graph queries -----------------------------------------------------------
 
@@ -369,17 +398,13 @@ class FederatedRemos:
                 if sp:
                     sp.set(shard=shard, path="delegated")
                 return self._cell(shard).remos.get_graph(nodes, timeframe, collapse)
-        started = self._begin_query()
-        with obs.span("query.get_graph") as sp:
-            try:
-                if sp:
-                    sp.set(shard="cross", shards=len(groups))
-                graph = self._federated_graph(groups, nodes, timeframe)
-                if sp:
-                    sp.set(node_count=len(nodes), collapse=graph.collapse)
-                return graph
-            finally:
-                self._end_query(started, "get_graph")
+        with query_frame(self, "get_graph") as (sp, _):
+            if sp:
+                sp.set(shard="cross", shards=len(groups))
+            graph = self._federated_graph(groups, nodes, timeframe)
+            if sp:
+                sp.set(node_count=len(nodes), collapse=graph.collapse)
+            return graph
 
     def _federated_graph(
         self,
@@ -411,7 +436,7 @@ class FederatedRemos:
         # its queried nodes, anchored at its summary-edge gateways; transit
         # shards contribute just their gateway nodes.
         for shard, shard_nodes in groups.items():
-            sub = pin.modeler(shard).logical_graph(
+            sub = pin.local(shard).modeler.logical_graph(
                 shard_nodes, timeframe, "flat", include=tuple(sorted(anchors[shard]))
             )
             for node in sub.nodes:
@@ -486,251 +511,50 @@ class FederatedRemos:
         scenarios = list(queries)
         if not scenarios:
             return []
-        started = self._begin_query()
-        with obs.span("query.flow_info_batch") as sp:
-            try:
-                results: list[FlowInfoResult | None] = [None] * len(scenarios)
-                delegated: dict[str, list[int]] = {}
-                cross: list[int] = []
-                for index, scenario in enumerate(scenarios):
-                    endpoints = [
-                        endpoint
-                        for flow in scenario.flows
-                        for endpoint in self._endpoints_of(flow)
-                    ]
-                    home = self.home_shard(endpoints)
-                    if home is None:
-                        cross.append(index)
-                    else:
-                        delegated.setdefault(home, []).append(index)
-                for shard, indices in delegated.items():
-                    answers = self._cell(shard).remos.flow_info_batch(
-                        [scenarios[i] for i in indices], timeframe
-                    )
-                    for i, answer in zip(indices, answers):
-                        results[i] = answer
-                if cross:
-                    pin = _QueryPin(self, timeframe)
-                    for i in cross:
-                        results[i] = self._evaluate_cross(pin, scenarios[i], timeframe)
-                if sp:
-                    sp.set(
-                        shard="cross" if cross else next(iter(delegated), "none"),
-                        scenario_count=len(scenarios),
-                        delegated=len(scenarios) - len(cross),
-                        cross=len(cross),
-                        flow_count=sum(len(s.flows) for s in scenarios),
-                    )
-                assert all(result is not None for result in results)
-                return results  # type: ignore[return-value]
-            finally:
-                self._end_query(started, "flow_info_batch")
-
-    def _plan_flow(self, pin: _QueryPin, flow) -> _FlowPlan:
-        """Compose one flow's resource footprint across shards."""
-        endpoints = self._endpoints_of(flow)
-        shards = {endpoint: self.registry.shard_of(endpoint) for endpoint in endpoints}
-        for endpoint, shard in shards.items():
-            if shard is None:
-                raise QueryError(f"unknown flow endpoint {endpoint!r}")
-            self._validate_endpoint(pin, shard, endpoint)
-        distinct = set(shards.values())
-        if isinstance(flow, MulticastFlow):
-            if len(distinct) > 1:
-                raise QueryError(
-                    "cross-shard multicast flows are not supported; "
-                    f"{flow.src!r} -> {flow.dst} spans shards {sorted(distinct)}"
+        with query_frame(self, "flow_info_batch") as (sp, _):
+            results: list[FlowInfoResult | None] = [None] * len(scenarios)
+            delegated: dict[str, list[int]] = {}
+            cross: list[int] = []
+            for index, scenario in enumerate(scenarios):
+                home = self.home_shard(
+                    endpoint for flow in scenario.flows for endpoint in flow.endpoints
                 )
-            (shard,) = distinct
-            modeler = pin.modeler(shard)
-            resources = modeler.resources_for_tree(flow.src, list(flow.dsts))
-            tree = modeler.routing.multicast_tree(flow.src, list(flow.dsts))
-            return _FlowPlan(
-                flow, resources, tree.max_latency, len(tree.hops),
-                ((shard, tree.hops),), (),
-            )
-        src_shard, dst_shard = shards[flow.src], shards[flow.dst]
-        if src_shard == dst_shard:
-            modeler = pin.modeler(src_shard)
-            resources = modeler.resources_for_route(flow.src, flow.dst)
-            route = modeler.routing.route(flow.src, flow.dst)
-            return _FlowPlan(
-                flow, resources, route.latency, route.hop_count,
-                ((src_shard, route.hops),), (),
-            )
-        # Cross-shard: exact segments to/from the border gateways, summary
-        # edges in between.  Transit shards are crossed gateway-to-gateway
-        # over the backbone — no intra-transit detail is touched.
-        path = pin.summary.summary_path(src_shard, dst_shard)
-        src_modeler = pin.modeler(src_shard)
-        dst_modeler = pin.modeler(dst_shard)
-        # Anchor the intra-shard segments at the border routers the summary
-        # path actually attaches to — with several gateways per cell,
-        # gateways[0] could disagree with the WAN edge's endpoint and leave
-        # the composed footprint missing the inter-gateway hop.
-        src_gateway = path[0].gateway_of(src_shard)
-        dst_gateway = path[-1].gateway_of(dst_shard)
-        src_route = src_modeler.routing.route(flow.src, src_gateway)
-        dst_route = dst_modeler.routing.route(dst_gateway, flow.dst)
-        resources: list[Hashable] = list(
-            src_modeler.resources_for_route(flow.src, src_gateway)
-        )
-        edges: list[tuple[SummaryEdge, str]] = []
-        from_shard = src_shard
-        latency = src_route.latency + dst_route.latency
-        for edge in path:
-            edges.append((edge, from_shard))
-            resources.append(fed_key(edge, from_shard))
-            latency += edge.latency
-            from_shard = edge.other(from_shard)
-        resources.extend(dst_modeler.resources_for_route(dst_gateway, flow.dst))
-        # Deduplicate while preserving first-reference order (a gateway
-        # crossbar could appear in both segments' expansions on loops).
-        seen: set[Hashable] = set()
-        unique = tuple(r for r in resources if not (r in seen or seen.add(r)))
-        return _FlowPlan(
-            flow,
-            unique,
-            latency,
-            src_route.hop_count + len(path) + dst_route.hop_count,
-            ((src_shard, src_route.hops), (dst_shard, dst_route.hops)),
-            tuple(edges),
-        )
-
-    def _evaluate_cross(
-        self, pin: _QueryPin, scenario: FlowQuery, timeframe: Timeframe
-    ) -> FlowInfoResult:
-        """Solve one cross-shard scenario against composed capacities.
-
-        Mirrors :meth:`Remos._evaluate_flow_query` stage for stage; the
-        only difference is where capacities come from — each shard's own
-        capacity view for intra-shard resources (exact) and the summary
-        edges' member-minimum measures for WAN crossings (conservative).
-        """
-        fixed = list(scenario.fixed)
-        variable = list(scenario.variable)
-        independent = list(scenario.independent)
-        plans: dict[str, _FlowPlan] = {}
-
-        def requests(flows, klass: str) -> list[FlowRequest]:
-            built = []
-            for index, flow in enumerate(flows):
-                plan = self._plan_flow(pin, flow)
-                label = flow.label(index, klass)
-                plans[label] = plan
-                built.append(
-                    FlowRequest(
-                        flow_id=label,
-                        resources=plan.resources,
-                        requested=flow.requested,
-                        cap=flow.cap,
+                if home is None:
+                    cross.append(index)
+                else:
+                    delegated.setdefault(home, []).append(index)
+            for shard, indices in delegated.items():
+                answers = self._cell(shard).remos.flow_info_batch(
+                    [scenarios[i] for i in indices], timeframe
+                )
+                for i, answer in zip(indices, answers):
+                    results[i] = answer
+            if cross:
+                # Composed scenarios run the shared plan over one pin: each
+                # shard's own routes and prices for the intra-shard segments
+                # (exact), summary edges' member-minimum measures for the
+                # WAN crossings (conservative).
+                pin = _QueryPin(self, timeframe)
+                for i in cross:
+                    scenario = scenarios[i]
+                    results[i] = plan.evaluate(
+                        pin.resolve,
+                        pin.price,
+                        scenario.fixed,
+                        scenario.variable,
+                        scenario.independent,
+                        timeframe,
                     )
+            if sp:
+                sp.set(
+                    shard="cross" if cross else next(iter(delegated), "none"),
+                    scenario_count=len(scenarios),
+                    delegated=len(scenarios) - len(cross),
+                    cross=len(cross),
+                    flow_count=sum(len(s.flows) for s in scenarios),
                 )
-            return built
-
-        fixed_requests = requests(fixed, "fixed")
-        variable_requests = requests(variable, "variable")
-        independent_requests = requests(independent, "independent")
-        all_ids = [
-            r.flow_id
-            for r in (*fixed_requests, *variable_requests, *independent_requests)
-        ]
-        if len(set(all_ids)) != len(all_ids):
-            raise QueryError("flow labels must be unique within a query")
-
-        problem = StagedProblem(
-            fixed=fixed_requests,
-            variable=variable_requests,
-            independent=independent_requests,
-        )
-        keys = problem.resource_keys()
-        shard_keys: dict[str, list[Hashable]] = {}
-        edge_keys: dict[Hashable, tuple[SummaryEdge, str]] = {}
-        for plan in plans.values():
-            for edge, from_shard in plan.edges:
-                edge_keys[fed_key(edge, from_shard)] = (edge, from_shard)
-        for plan in plans.values():
-            for shard, _hops in plan.intra:
-                shard_keys.setdefault(shard, [])
-        for key in keys:
-            if key in edge_keys:
-                continue
-            # Intra-shard keys are resolved by whichever involved shard
-            # knows them; shard views are disjoint so at most one answers.
-            for shard in shard_keys:
-                view = pin.capacity_view(shard, "median")
-                if key in view:
-                    shard_keys[shard].append(key)
-                    break
-            else:
-                raise QueryError(f"no shard can price resource {key!r}")
-
-        rates_by_level: dict[str, dict[Hashable, float]] = {}
-        median_allocation = None
-        for level in (*_LEVELS, "mean"):
-            capacities: dict[Hashable, float] = {}
-            for shard, shard_specific in shard_keys.items():
-                view = pin.capacity_view(shard, level)
-                for key in shard_specific:
-                    capacities[key] = view[key]
-            for key, (edge, from_shard) in edge_keys.items():
-                measure = pin.edge_measure(edge, from_shard)
-                capacities[key] = getattr(measure, level)
-            allocation = problem.solve(capacities)
-            rates_by_level[level] = allocation.rates
-            if level == "median":
-                median_allocation = allocation
-        assert median_allocation is not None
-
-        accuracy = 1.0
-        for plan in plans.values():
-            for shard, hops in plan.intra:
-                modeler = pin.modeler(shard)
-                for hop in hops:
-                    measure = modeler.available_bandwidth(hop, timeframe)
-                    accuracy = min(accuracy, measure.accuracy)
-            for edge, from_shard in plan.edges:
-                accuracy = min(accuracy, pin.edge_measure(edge, from_shard).accuracy)
-
-        def answers(flows, reqs, klass: str) -> list[FlowAnswer]:
-            result = []
-            for flow, request in zip(flows, reqs):
-                label = request.flow_id
-                plan = plans[label]
-                quartiles = sorted(rates_by_level[level][label] for level in _LEVELS)
-                bandwidth = StatMeasure(
-                    minimum=quartiles[0],
-                    q1=quartiles[1],
-                    median=quartiles[2],
-                    q3=quartiles[3],
-                    maximum=quartiles[4],
-                    mean=rates_by_level["mean"][label],
-                    n_samples=len(_LEVELS),
-                    accuracy=accuracy,
-                )
-                result.append(
-                    FlowAnswer(
-                        flow=flow,
-                        label=label,
-                        bandwidth=bandwidth,
-                        latency=StatMeasure.constant(plan.latency),
-                        hop_count=plan.hop_count,
-                        satisfied=(
-                            median_allocation.satisfied.get(label)
-                            if klass == "fixed"
-                            else None
-                        ),
-                        bottleneck=median_allocation.bottlenecks.get(label),
-                    )
-                )
-            return result
-
-        return FlowInfoResult(
-            timeframe=timeframe,
-            fixed=answers(fixed, fixed_requests, "fixed"),
-            variable=answers(variable, variable_requests, "variable"),
-            independent=answers(independent, independent_requests, "independent"),
-        )
+            assert all(result is not None for result in results)
+            return results  # type: ignore[return-value]
 
     # -- node / admission queries ------------------------------------------------
 
@@ -752,52 +576,17 @@ class FederatedRemos:
         timeframe = timeframe or Timeframe.current()
         if not fixed_flows:
             raise QueryError("check_admission requires at least one flow")
-        endpoints = [
-            endpoint
-            for flow in fixed_flows
-            for endpoint in self._endpoints_of(flow)
-        ]
-        home = self.home_shard(endpoints)
+        home = self.home_shard(
+            endpoint for flow in fixed_flows for endpoint in flow.endpoints
+        )
         if home is not None:
             return self._cell(home).remos.check_admission(fixed_flows, timeframe)
-        started = self._begin_query()
-        with obs.span("query.check_admission") as sp:
-            try:
-                pin = _QueryPin(self, timeframe)
-                requests = []
-                capacities: dict[Hashable, float] = {}
-                for index, flow in enumerate(fixed_flows):
-                    plan = self._plan_flow(pin, flow)
-                    requests.append(
-                        FlowRequest(
-                            flow_id=flow.label(index, "fixed"),
-                            resources=plan.resources,
-                            requested=flow.requested,
-                            cap=flow.requested,
-                        )
-                    )
-                    for edge, from_shard in plan.edges:
-                        capacities[fed_key(edge, from_shard)] = pin.edge_measure(
-                            edge, from_shard
-                        ).median
-                    for shard, _hops in plan.intra:
-                        view = pin.capacity_view(shard, "median")
-                        for key in plan.resources:
-                            if key not in capacities and key in view:
-                                capacities[key] = view[key]
-                # admission_report treats unpriced keys as unconstrained,
-                # which would make the federated answer *less* strict than
-                # the oracle — refuse instead, like _evaluate_cross.
-                for request in requests:
-                    for key in request.resources:
-                        if key not in capacities:
-                            raise QueryError(f"no shard can price resource {key!r}")
-                report = admission_report(capacities, requests)
-                if sp:
-                    sp.set(shard="cross", flow_count=len(fixed_flows))
-                return report
-            finally:
-                self._end_query(started, "check_admission")
+        with query_frame(self, "check_admission") as (sp, _):
+            pin = _QueryPin(self, timeframe)
+            report = plan.admission(pin.resolve, pin.price, fixed_flows)
+            if sp:
+                sp.set(shard="cross", flow_count=len(fixed_flows))
+            return report
 
     # -- freshness / telemetry ---------------------------------------------------
 

@@ -362,10 +362,7 @@ class QueryFrontEnd:
         home_shard = getattr(self.remos, "home_shard", None)
         if home_shard is None:
             return None
-        endpoints = []
-        for flow in query.flows:
-            endpoints.append(flow.src)
-            endpoints.extend(flow.dsts if hasattr(flow, "dsts") else (flow.dst,))
+        endpoints = (endpoint for flow in query.flows for endpoint in flow.endpoints)
         return home_shard(endpoints) or "cross"
 
     @staticmethod

@@ -24,6 +24,7 @@ from repro.core import (
     Remos,
     SnapshotPublisher,
     Timeframe,
+    plan,
 )
 from repro.fairshare import FlowRequest
 from repro.fairshare.admission import admission_report
@@ -31,7 +32,7 @@ from repro.net import TopologyBuilder, fat_tree, leaf_spine
 from repro.util import mbps
 from repro.util.errors import QueryError
 
-from benchmarks._reference import capacity_snapshots_full
+from benchmarks._reference import eager_pricer
 from tests.core.conftest import line_topology, measured_view
 
 
@@ -203,14 +204,13 @@ class TestFlowAnswerPreservation:
         )
         pruned = remos.flow_info(timeframe=timeframe, **flows)
         modeler = remos._modeler()
-        snapshots = capacity_snapshots_full(modeler, timeframe)
-        full = remos._evaluate_flow_query(
-            modeler,
+        full = plan.evaluate(
+            plan.LocalSource(modeler, timeframe).resolve,
+            eager_pricer(modeler, timeframe),
             flows["fixed_flows"],
             flows["variable_flows"],
             flows["independent_flows"],
             timeframe,
-            snapshots,
         )
         assert pruned == full
 

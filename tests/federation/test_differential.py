@@ -163,6 +163,46 @@ class TestCrossShardConservative:
             remos.flow_info(variable_flows=[Flow("s0-leaf0-h0", "s1-gw")])
 
 
+class TestEndpointValidation:
+    """``flow_info`` and ``check_admission`` share one resolver per facade,
+    so a bad endpoint is the same ``QueryError`` from both calls."""
+
+    FACADES = {
+        # The oracle sees the whole network: a router is known, not compute.
+        "single-cell": (lambda world, fed, oracle: oracle, "s1-leaf0"),
+        # The facade delegated queries run on: cell s0's own Remos.
+        "delegated": (lambda world, fed, oracle: world.cells["s0"].remos, "s0-leaf1"),
+        # Spanning shards composes here; a bad name fails there too.
+        "cross-shard": (lambda world, fed, oracle: fed, "s1-leaf0-h0"),
+    }
+
+    @pytest.mark.parametrize("which", FACADES)
+    @pytest.mark.parametrize("bad", ["router", "unknown"])
+    def test_same_error_from_flow_info_and_admission(self, small_world, which, bad):
+        pick, other_end = self.FACADES[which]
+        facade = pick(*small_world)
+        if which == "cross-shard":
+            # Routers are not registry-indexed: both kinds are unknown to
+            # the federation, next to a genuinely cross-shard flow.
+            flows = [
+                Flow("s0-leaf0-h0", other_end, requested=1e6),
+                Flow("s0-leaf0-h1", "s1-leaf0" if bad == "router" else "nope", 1e6),
+            ]
+            expected = "unknown flow endpoint"
+        else:
+            flows = [Flow("s0-leaf0-h0", other_end if bad == "router" else "nope", 1e6)]
+            expected = (
+                "flow endpoints must be compute nodes"
+                if bad == "router"
+                else "unknown flow endpoint"
+            )
+        with pytest.raises(QueryError, match=expected) as from_flow_info:
+            facade.flow_info(fixed_flows=flows)
+        with pytest.raises(QueryError, match=expected) as from_admission:
+            facade.check_admission(flows)
+        assert str(from_admission.value) == str(from_flow_info.value)
+
+
 class TestBundledWan:
     """Parallel WAN links collapse to one summary edge: strictly conservative."""
 
@@ -214,6 +254,39 @@ class TestBatchAndTransit:
             for batch_answer, single_answer in zip(result.answers, single.answers):
                 answers_identical(batch_answer, single_answer)
 
+    def test_mixed_scenario_single_equals_batch_element(self, loaded_world):
+        """Intra-shard multicast + intra-shard unicast + two cross-shard
+        unicasts in *one* scenario: composed here, whichever way it arrives."""
+        _world, remos, _oracle = loaded_world
+        scenario = FlowQuery(
+            fixed=(Flow("s0-leaf0-h1", "s1-leaf1-h0", requested=20e6),),  # cross
+            variable=(
+                MulticastFlow("s0-leaf0-h0", ("s0-leaf0-h1", "s0-leaf1-h0")),
+                Flow("s1-leaf0-h0", "s1-leaf1-h1", requested=2.0),  # intra s1
+            ),
+            independent=(Flow("s2-leaf0-h0", "s0-leaf1-h1"),),  # cross
+        )
+        single = remos.flow_info(
+            fixed_flows=scenario.fixed,
+            variable_flows=scenario.variable,
+            independent_flows=scenario.independent,
+        )
+        neighbours = [
+            FlowQuery(variable=(Flow("s1-leaf0-h1", "s1-leaf1-h0"),)),  # delegated
+            scenario,
+            FlowQuery(variable=(Flow("s0-leaf1-h0", "s2-leaf1-h0"),)),  # cross
+        ]
+        batched = remos.flow_info_batch(neighbours)[1]
+        assert batched == single
+        assert [a.label for a in single.answers] == [
+            "fixed[0]:s0-leaf0-h1->s1-leaf1-h0",
+            "variable[0]:s0-leaf0-h0->{s0-leaf0-h1,s0-leaf1-h0}",
+            "variable[1]:s1-leaf0-h0->s1-leaf1-h1",
+            "independent[0]:s2-leaf0-h0->s0-leaf1-h1",
+        ]
+        assert single.fixed[0].satisfied is True
+        assert all(a.bandwidth.median > 0 for a in single.answers)
+
     def test_ring_transit(self):
         # 4 shards on a ring: s0 -> s2 must transit a neighbour shard's
         # gateway; the answer stays conservative vs the oracle.
@@ -260,17 +333,20 @@ class TestAdmission:
     ):
         # An unpriced key would read as infinite capacity and make the
         # federated answer *less* strict than the oracle; refuse instead.
-        from repro.federation.api import FederatedRemos
+        # The query pin is the plan's resolver and pricer: taint what it
+        # resolves and its own pricer must refuse the key.
+        from repro.federation.api import _QueryPin
 
         _world, remos, _oracle = small_world
-        original = FederatedRemos._plan_flow
+        original = _QueryPin.resolve
 
-        def tainted(self, pin, flow):
-            plan = original(self, pin, flow)
-            plan.resources = (*plan.resources, ("alien", "resource"))
-            return plan
+        def tainted(self, flow):
+            footprint = original(self, flow)
+            return footprint._replace(
+                resources=(*footprint.resources, ("alien", "resource"))
+            )
 
-        monkeypatch.setattr(FederatedRemos, "_plan_flow", tainted)
+        monkeypatch.setattr(_QueryPin, "resolve", tainted)
         flows = [Flow("s0-leaf0-h0", "s1-leaf0-h0", requested=1e6)]
         with pytest.raises(QueryError, match="no shard can price"):
             remos.check_admission(flows)
