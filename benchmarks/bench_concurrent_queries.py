@@ -6,30 +6,26 @@ a full poll touching every link direction, so every publish invalidates
 the dynamic caches) while N application threads issue flow queries.
 
 Python's GIL means raw thread parallelism buys nothing for this
-CPU-bound work — the win must come from **coalescing**: concurrent
-flow_info requests drain into one ``flow_info_batch`` per leader pass, so
-the expensive per-epoch work (the six per-quantile availability snapshots
-over the whole 64-host tree) is paid once per batch instead of once per
-request.  A single reader pays it on nearly every query, because the
-sweeper publishes a fresh epoch far more often than one thread can
-query.
+CPU-bound work, and the service evaluates one flow query at a time
+(``docs/CONCURRENCY.md``): the concurrent phases measure what extra
+readers *cost* in lock hand-offs and GIL switches, not what they gain.
+What the epoch's first asker prices, every later asker of that epoch
+reads from the price memo.
 
 Two gates:
 
 * in-process: the single-reader throughput and the best concurrent
   throughput (4 or 8 readers) must each clear an absolute floor
   (``SINGLE_GATE_QPS``, ``CONCURRENT_GATE_QPS``).  The concurrent/single
-  ratio is reported, not gated: it fell from 2.2x to ~1.6x when pricing a
-  cache miss got ~6x cheaper — the single reader, who pays the per-epoch
-  work on nearly every query, gained most — while both figures rose;
+  ratio is reported, not gated;
 * HTTP front doors (``test_front_door_throughput``): the same workload
-  pushed through the legacy threaded server, the asyncio server and the
-  ``--workers 4`` pre-forked mode, all in one run.  Multi-process is
-  where the GIL finally stops being the ceiling, so the 4-worker phase
-  must reach ``WORKER_GATE``x the threaded front end's qps — enforced
-  when the machine actually has cores to parallelise over
-  (>= ``WORKER_GATE_MIN_CPUS``; on a 1-CPU container four processes
-  time-slice one core and the ratio is recorded but not gated).
+  pushed through the asyncio server and the ``--workers 4`` pre-forked
+  mode in one run.  Multi-process is where the GIL finally stops being
+  the ceiling, so the 4-worker phase must reach ``WORKER_GATE``x the
+  single-process front door's qps — enforced when the machine actually
+  has cores to parallelise over (>= ``WORKER_GATE_MIN_CPUS``; on a 1-CPU
+  container four processes time-slice one core and the ratio is recorded
+  but not gated).
 
 Results land in ``BENCH_concurrency.json`` at the repo root.
 """
@@ -44,7 +40,7 @@ from http.client import HTTPConnection
 from pathlib import Path
 
 from repro.core import Flow, Timeframe
-from repro.service import MultiProcessServer, RemosService, serve_aio, serve_http
+from repro.service import MultiProcessServer, RemosService, serve_aio
 from repro.testbed import World
 
 from benchmarks._experiments import emit
@@ -70,7 +66,7 @@ WORKER_GATE = 2.0
 WORKER_GATE_MIN_CPUS = 4
 #: Informational floor applied below WORKER_GATE_MIN_CPUS: time-sliced
 #: workers can't scale, but they must stay in the same league as the
-#: threaded door.
+#: single-process door.
 WORKER_FLOOR = 0.5
 
 
@@ -97,14 +93,10 @@ def _cpu_count() -> int:
 def _make_service() -> tuple[RemosService, list[Flow], Timeframe]:
     topology, hosts = build_tree(N_HOSTS)
     world = World.from_topology(topology, poll_interval=1.0)
-    service = RemosService.from_world(
-        world, sweep_interval=0.002, sim_step=1.0, max_batch=8
-    )
+    service = RemosService.from_world(world, sweep_interval=0.002, sim_step=1.0)
     service.start(warmup=WARMUP_S)
     # All-to-all over 6 spread hosts (30 flows): enough allocation work
-    # per query that the per-epoch cost is what's being amortised.  The
-    # original 2-flow probe became too cheap to exercise coalescing once
-    # the engine optimisations landed.
+    # per query that the evaluation, not the call overhead, is measured.
     query_hosts = spread_hosts(hosts, 6)
     flows = [
         Flow(src, dst)
@@ -119,9 +111,9 @@ def _run_phase(readers: int, vectorize: bool | None = None) -> dict:
     """Fixed-wall-duration throughput at *readers* query threads.
 
     *vectorize* pins the allocation kernel for the phase: ``False`` is
-    the scalar loop (the expensive-query regime the coalescing design
-    targets — and the no-numpy behaviour), ``True`` forces the array
-    kernels, ``None`` leaves auto-detection alone.
+    the scalar loop (the expensive-query regime — and the no-numpy
+    behaviour), ``True`` forces the array kernels, ``None`` leaves
+    auto-detection alone.
     """
     from repro.fairshare import vectorized
 
@@ -154,12 +146,6 @@ def _run_phase(readers: int, vectorize: bool | None = None) -> dict:
             "elapsed_s": elapsed,
             "throughput_qps": total / elapsed,
             "publishes": service.publishes,
-            "batches": service.batches_executed,
-            "mean_batch": (
-                service.queries_batched / service.batches_executed
-                if service.batches_executed
-                else 0.0
-            ),
         }
     finally:
         service.stop()
@@ -219,57 +205,42 @@ def _run_front_door(mode: str) -> dict:
     """One front-door phase: build the stack, serve, drive, tear down."""
     topology, hosts = build_tree(N_HOSTS)
     world = World.from_topology(topology, poll_interval=1.0)
-    service = RemosService.from_world(
-        world, sweep_interval=0.002, sim_step=1.0, max_batch=8
-    )
+    service = RemosService.from_world(world, sweep_interval=0.002, sim_step=1.0)
     query_hosts = spread_hosts(hosts, 4)
     flows = [
         Flow(query_hosts[0], query_hosts[2]),
         Flow(query_hosts[1], query_hosts[3]),
     ]
-    threaded_server = None
-    stoppable = None
+    server = None
     try:
         if mode == "workers":
-            stoppable = MultiProcessServer(
+            server = MultiProcessServer(
                 service, port=0, workers=WORKER_COUNT, warmup=WARMUP_S
             ).start()
-            address = stoppable.address
-        elif mode == "threaded":
-            service.start(warmup=WARMUP_S)
-            threaded_server = serve_http(service, port=0)
-            threading.Thread(
-                target=threaded_server.serve_forever, daemon=True
-            ).start()
-            address = threaded_server.server_address[:2]
         else:
             service.start(warmup=WARMUP_S)
-            stoppable = serve_aio(service, port=0)
-            address = stoppable.address
-        measured = _drive_http(address, flows)
+            server = serve_aio(service, port=0)
+        measured = _drive_http(server.address, flows)
         measured["mode"] = mode
         if mode == "workers":
             measured["workers"] = WORKER_COUNT
         return measured
     finally:
-        if threaded_server is not None:
-            threaded_server.shutdown()
-            threaded_server.server_close()
-        if stoppable is not None:
-            stoppable.stop()
+        if server is not None:
+            server.stop()
         service.stop()
 
 
 def test_front_door_throughput(benchmark):
-    """Threaded vs asyncio vs 4-worker pre-fork, one run, one workload."""
+    """Asyncio vs 4-worker pre-fork, one run, one workload."""
 
     def experiment():
-        return {mode: _run_front_door(mode) for mode in ("threaded", "async", "workers")}
+        return {mode: _run_front_door(mode) for mode in ("async", "workers")}
 
     doors = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    threaded_qps = doors["threaded"]["throughput_qps"]
-    worker_qps = doors["workers"]["throughput_qps"]
-    worker_scaling = worker_qps / threaded_qps
+    worker_scaling = (
+        doors["workers"]["throughput_qps"] / doors["async"]["throughput_qps"]
+    )
     cpus = _cpu_count()
     gated, floor, passed = worker_gate(worker_scaling, cpus)
 
@@ -283,7 +254,7 @@ def test_front_door_throughput(benchmark):
             f"({phase['queries']} queries, {phase['errors']} errors)"
         )
     lines.append(
-        f"  {WORKER_COUNT}-worker/threaded scaling {worker_scaling:.2f}x "
+        f"  {WORKER_COUNT}-worker/async scaling {worker_scaling:.2f}x "
         f"(gate: >= {WORKER_GATE}x, "
         f"{'enforced' if gated else f'informational below {WORKER_GATE_MIN_CPUS} CPUs'})"
     )
@@ -304,19 +275,18 @@ def test_front_door_throughput(benchmark):
         assert phase["errors"] == 0, f"front door {phase['mode']} served errors"
         assert phase["queries"] > 0
     assert passed, (
-        f"worker/threaded scaling {worker_scaling:.2f}x below the "
+        f"worker/async scaling {worker_scaling:.2f}x below the "
         f"{'enforced' if gated else 'informational'} floor {floor}x on {cpus} CPUs"
     )
 
 
 def test_concurrent_throughput_scales(benchmark):
-    """Reader throughput against a live sweeper, single and coalesced.
+    """Reader throughput against a live sweeper, single and concurrent.
 
     The gated phases pin the **scalar** allocation kernel: that is both
-    the no-numpy behaviour and the expensive-query regime where
-    coalescing is the throughput win (one leader pays the per-epoch work
-    for the whole batch).  The vectorized phases are recorded alongside
-    as the raw-speed headline, not gated.
+    the no-numpy behaviour and the expensive-query regime.  The
+    vectorized phases are recorded alongside as the raw-speed headline,
+    not gated.
     """
     from repro.fairshare import vectorized
 
@@ -345,8 +315,7 @@ def test_concurrent_throughput_scales(benchmark):
     for phase in phases:
         lines.append(
             f"  {phase['readers']} reader(s): {phase['throughput_qps']:8.1f} q/s "
-            f"({phase['queries']} queries, {phase['publishes']} publishes, "
-            f"mean batch {phase['mean_batch']:.2f})"
+            f"({phase['queries']} queries, {phase['publishes']} publishes)"
         )
     lines.append(
         f"  gates: single >= {SINGLE_GATE_QPS:g} q/s, best concurrent >= "

@@ -239,25 +239,14 @@ def cmd_table3(args) -> int:
 def cmd_serve(args) -> int:
     """Run the concurrent query service over the testbed, fronted by HTTP.
 
-    Three front doors share one application layer: the default asyncio
-    event loop, ``--threaded`` (the legacy thread-per-connection server),
-    and ``--workers N`` (N pre-forked asyncio processes on a shared
-    socket; the parent keeps the single-writer sweeper and broadcasts
-    each published epoch to the workers).
+    One asyncio event loop by default; ``--workers N`` pre-forks N of
+    them on a shared socket (the parent keeps the single-writer sweeper
+    and broadcasts each published epoch to the workers).
     """
-    import threading
     import time as _time
 
-    from repro.service import (
-        MultiProcessServer,
-        RemosService,
-        serve_aio,
-        serve_http,
-    )
+    from repro.service import MultiProcessServer, RemosService, serve_aio
 
-    if args.threaded and args.workers > 0:
-        print("--threaded and --workers are mutually exclusive", file=sys.stderr)
-        return 2
     if args.federation > 0 and args.workers > 0:
         # The multi-process front door replicates one cell's epochs; a
         # federation has per-shard publishers the replicas can't mirror yet.
@@ -272,7 +261,6 @@ def cmd_serve(args) -> int:
     front_end = dict(
         sweep_interval=args.sweep_interval,
         sim_step=args.sim_step,
-        workers=args.threads,
         slow_query_threshold=args.slow_threshold,
         max_epoch_age=args.max_epoch_age,
         max_sweep_seconds=args.max_sweep_seconds,
@@ -298,7 +286,6 @@ def cmd_serve(args) -> int:
     scenario = _parse_traffic(args.traffic)
     if scenario:
         scenario.start(world.net)
-    threaded_server = None
     if args.workers > 0:
         server = MultiProcessServer(
             service,
@@ -307,25 +294,13 @@ def cmd_serve(args) -> int:
             workers=args.workers,
             warmup=args.warmup,
         ).start()
-        address = server.address
         mode = f"{args.workers} worker processes"
-    elif args.threaded:
-        service.start(warmup=args.warmup)
-        threaded_server = serve_http(service, host=args.host, port=args.port)
-        threading.Thread(
-            target=threaded_server.serve_forever, daemon=True
-        ).start()
-        server = threaded_server
-        address = threaded_server.server_address
-        mode = "threaded"
     else:
         service.start(warmup=args.warmup)
         server = serve_aio(service, host=args.host, port=args.port)
-        address = server.address
         mode = "asyncio"
-    print(
-        f"remos service listening on http://{address[0]}:{address[1]} ({mode})"
-    )
+    host, port = server.address
+    print(f"remos service listening on http://{host}:{port} ({mode})")
     print(
         "endpoints: /healthz /metrics /telemetry /graph?nodes=a,b /node/<host> "
         "POST /flow_info /debug/slow /debug/slo /debug/profile?seconds=N"
@@ -337,11 +312,7 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        if threaded_server is not None:
-            threaded_server.shutdown()
-            threaded_server.server_close()
-        else:
-            server.stop()
+        server.stop()
         service.stop()
         print(
             f"served {service.remos.queries_answered} queries over "
@@ -408,7 +379,6 @@ def _top_snapshot(base: str, timeout: float) -> dict:
         "http_status": status,
         "queries_total": counter_sum("remos_query_seconds", "remos_query_seconds_count"),
         "sweeps_total": counter_sum("remos_service_sweeps_total"),
-        "batches_total": counter_sum("remos_service_batches_total"),
         "epoch_age": gauge("remos_snapshot_age_seconds"),
         "hit_rate": gauge("remos_cache_hit_rate"),
         "query_latency": quantiles("remos_query_seconds"),
@@ -458,8 +428,7 @@ def _render_top(base: str, snap: dict, previous: dict | None, elapsed: float) ->
         rates = "qps     n/a   sweeps/s    n/a   (first poll)"
     hit = snap["hit_rate"]
     lines.append(
-        f"{rates}   queries {snap['queries_total']:.0f}   "
-        f"batches {snap['batches_total']:.0f}"
+        f"{rates}   queries {snap['queries_total']:.0f}"
         + (f"   cache hit {hit:.1%}" if hit is not None else "")
     )
     lines.append("")
@@ -593,18 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--warmup", type=float, default=10.0, help="measurement time (s)")
     serve.add_argument("--traffic", help="competing traffic: src:dst:rateMbps[,...]")
     serve.add_argument(
-        "--threads", type=int, default=4, help="query thread-pool size per process"
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=0,
         help="pre-forked worker processes on a shared socket (0 = single process)",
-    )
-    serve.add_argument(
-        "--threaded",
-        action="store_true",
-        help="use the legacy thread-per-connection server instead of asyncio",
     )
     serve.add_argument(
         "--federation",

@@ -11,7 +11,7 @@ thread name), counting samples per key.  The aggregate is the standard
 ready for ``flamegraph.pl`` or speedscope, with no dependency beyond the
 stdlib and no instrumentation of the profiled code: wall-clock sampling
 sees lock waits and I/O exactly like CPU time, which is what matters for a
-query service whose readers spend time blocked on the coalescing leader.
+query service whose readers spend time waiting for their flow-query turn.
 
 The HTTP front end exposes it at ``GET /debug/profile?seconds=N`` (one
 profile at a time per process); :func:`profile` is the blocking
@@ -36,9 +36,9 @@ class SamplingProfiler:
     """Samples every thread's stack on a fixed interval; start/stop API."""
 
     def __init__(self, interval: float = 0.01, max_depth: int = 64):
-        if interval < MIN_INTERVAL:
+        if not MIN_INTERVAL <= interval < float("inf"):  # refuses nan too
             raise ConfigurationError(
-                f"sampling interval below the {MIN_INTERVAL * 1e3:.0f}ms floor"
+                f"sampling interval must be finite, at least {MIN_INTERVAL * 1e3:.0f}ms"
             )
         self.interval = float(interval)
         self.max_depth = int(max_depth)

@@ -52,9 +52,6 @@ class _NoopSpan:
     def set(self, **attributes) -> None:
         pass
 
-    def add_link(self, trace_id: str, span_id: str, **attributes) -> None:
-        pass
-
 
 NOOP_SPAN = _NoopSpan()
 
@@ -70,7 +67,6 @@ class Span:
         "start",
         "end",
         "attributes",
-        "links",
         "error",
         "_tracer",
         "_prev",
@@ -96,9 +92,6 @@ class Span:
         self.start = 0.0
         self.end: float | None = None
         self.attributes: dict = {}
-        #: Cross-trace references: spans of *other* traces causally tied to
-        #: this one (a coalesced follower linking the leader's batch span).
-        self.links: list[dict] = []
         self.error: str | None = None
         self._tracer = tracer
         self._prev: Span | None = None
@@ -138,13 +131,6 @@ class Span:
         """Attach attributes (generation, flow count, cache hits, …)."""
         self.attributes.update(attributes)
 
-    def add_link(self, trace_id: str, span_id: str, **attributes) -> None:
-        """Reference a span of another trace (OpenTelemetry-style link)."""
-        link = {"trace_id": trace_id, "span_id": span_id}
-        if attributes:
-            link["attributes"] = attributes
-        self.links.append(link)
-
     # -- readings ----------------------------------------------------------------
 
     @property
@@ -163,7 +149,7 @@ class Span:
 
     def to_dict(self) -> dict:
         """Plain-data form for JSON export."""
-        node = {
+        return {
             "name": self.name,
             "trace_id": self.trace_id,
             "span_id": self.span_id,
@@ -172,9 +158,6 @@ class Span:
             "attributes": dict(self.attributes),
             "error": self.error,
         }
-        if self.links:
-            node["links"] = [dict(link) for link in self.links]
-        return node
 
     def tree(self) -> dict:
         """Nested plain-data form rooted at this span."""

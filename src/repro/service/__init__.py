@@ -12,27 +12,24 @@ package is that deployment shape for the reproduction:
   ``node_info`` / ``check_admission`` queries through
   :class:`RemosService`; each query pins the current snapshot once and
   never observes a partial sweep;
-* concurrent ``flow_info`` requests with the same timeframe are
-  **coalesced**: one leader drains the waiting group and answers it with a
-  single :meth:`~repro.core.api.Remos.flow_info_batch` call, so the
-  expensive per-epoch work (six per-quantile availability snapshots) is
-  paid once per batch instead of once per request — that is where the
-  concurrent-throughput win comes from under the GIL.
+* concurrent ``flow_info`` requests evaluate **one at a time**: the work
+  is CPU-bound Python, so two evaluations in flight only trade the GIL
+  and both finish later.  Each epoch's expensive work is shared through
+  the per-epoch price memo whoever asks, so there is nothing left for a
+  batch to amortise (``docs/CONCURRENCY.md`` has the measurements).
 
 ``repro serve`` (see :mod:`repro.cli`) exposes the service over HTTP with
-``/metrics`` for Prometheus scraping.  Two front ends share one
-transport-agnostic application layer (:mod:`repro.service.app`): the
-default asyncio event loop (:mod:`repro.service.aio`) and the legacy
-one-thread-per-connection server (:mod:`repro.service.http`,
-``--threaded``).  ``--workers N`` pre-forks N asyncio workers on a shared
-socket (:mod:`repro.service.workers`); the parent keeps the only sweeper
-and broadcasts each published epoch to the workers.  The full threading
-model is documented in ``docs/CONCURRENCY.md``.
+``/metrics`` for Prometheus scraping: an asyncio event loop
+(:mod:`repro.service.aio`) in front of the transport-agnostic application
+layer (:mod:`repro.service.app`).  ``--workers N`` pre-forks N of those
+servers on a shared socket (:mod:`repro.service.workers`); the parent
+keeps the only sweeper and broadcasts each published epoch to the
+workers.  The full threading model is documented in
+``docs/CONCURRENCY.md``.
 """
 
 from repro.service.aio import AioServer, AsyncHTTPServer, serve_aio
 from repro.service.core import QueryFrontEnd, RemosService
-from repro.service.http import serve_http
 from repro.service.workers import MultiProcessServer, WorkerReplica
 
 __all__ = [
@@ -43,5 +40,4 @@ __all__ = [
     "RemosService",
     "WorkerReplica",
     "serve_aio",
-    "serve_http",
 ]

@@ -1,29 +1,26 @@
 """Asyncio HTTP front end for :class:`~repro.service.RemosService`.
 
-The default front door (``repro serve``): a single-threaded
+The front door (``repro serve``): a single-threaded
 ``asyncio.start_server`` event loop multiplexes every connection —
 keep-alive HTTP/1.1, no thread or stack per idle socket — and hands each
-parsed request to the shared application layer
+parsed request to the application layer
 (:func:`repro.service.app.handle_request`) on a thread-pool executor.
 Because one request is handled start-to-finish on one executor thread,
 the thread-local :class:`~repro.obs.context.TraceContext` binding, the
-SLO settlement and the slow-query forensics behave exactly as they do
-under the legacy threaded server (:mod:`repro.service.http`) — the
-end-to-end observability tests run against both.
+SLO settlement and the slow-query forensics need no loop awareness.
 
-Why this beats a thread per connection under the GIL: the service's
-coalescing queue (see ``docs/CONCURRENCY.md``) answers concurrent
-``flow_info`` requests in shared batches, so the front end's job is to
-*admit* many sockets cheaply and keep the executor fed — exactly what an
-event loop does.  The ``--workers N`` multi-process mode
+Why not a thread per connection: under the GIL the service evaluates one
+flow query at a time anyway (see ``docs/CONCURRENCY.md``), so the front
+end's job is to *admit* many sockets cheaply and keep the executor fed —
+exactly what an event loop does.  The ``--workers N`` multi-process mode
 (:mod:`repro.service.workers`) stacks N of these servers on one shared
 listening socket.
 
 Two entry points:
 
 * :func:`serve_aio` — run the event loop on a background thread; returns
-  an :class:`AioServer` handle with ``address`` and ``stop()``.  Drop-in
-  for :func:`repro.service.http.serve_http` callers (tests, benchmarks).
+  an :class:`AioServer` handle with ``address`` and ``stop()``, for
+  callers in synchronous code (the CLI, tests, benchmarks).
 * :class:`AsyncHTTPServer` — the awaitable pieces, for callers that
   already own a loop (the worker processes do).
 """
@@ -92,7 +89,12 @@ class AsyncHTTPServer:
         loop = asyncio.get_running_loop()
         try:
             while True:
-                request = await self._read_request(reader, client)
+                try:
+                    request = await self._read_request(reader, client)
+                except _Refused as error:
+                    refusal = Response.json(error.status, {"error": str(error)})
+                    await self._write_response(writer, refusal, True)
+                    break
                 if request is None:
                     break
                 # The app layer blocks (service queries, profile sleeps):
@@ -106,15 +108,7 @@ class AsyncHTTPServer:
                 await self._write_response(writer, response, close)
                 if close:
                     break
-        except _BadRequest as error:
-            await self._write_response(
-                writer, Response.json(400, {"error": str(error)}), True
-            )
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-        ):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
             writer.close()
@@ -126,31 +120,34 @@ class AsyncHTTPServer:
     @staticmethod
     async def _read_request(reader, client: str) -> Request | None:
         """Parse one request off the wire; None on clean connection end."""
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise _BadRequest(f"malformed request line: {line!r}")
+            raise _Refused(400, f"malformed request line: {line!r}")
         method, target, _version = parts
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n"):
                 break
             if not line:
                 return None  # connection closed mid-headers
             name, sep, value = line.decode("latin-1").partition(":")
             if not sep:
-                raise _BadRequest(f"malformed header line: {line!r}")
+                raise _Refused(400, f"malformed header line: {line!r}")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # Unread chunks would be parsed as the next request.
+            raise _Refused(501, "Transfer-Encoding is not supported; send Content-Length")
         length_raw = headers.get("content-length", "0")
         try:
             length = int(length_raw)
         except ValueError:
-            raise _BadRequest(f"bad Content-Length: {length_raw!r}") from None
+            raise _Refused(400, f"bad Content-Length: {length_raw!r}") from None
         if not 0 <= length <= MAX_BODY_BYTES:
-            raise _BadRequest(f"Content-Length out of range: {length}")
+            raise _Refused(400, f"Content-Length out of range: {length}")
         body = await reader.readexactly(length) if length else b""
         return Request(
             method=method, target=target, headers=headers, body=body, client=client
@@ -172,16 +169,26 @@ class AsyncHTTPServer:
         await writer.drain()
 
 
-class _BadRequest(Exception):
-    """A request the HTTP parser refused (answered 400, connection closed)."""
+class _Refused(Exception):
+    """A request the HTTP parser refused: answered *status* once, then closed."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # what StreamReader makes of LimitOverrunError
+        raise _Refused(431, f"request or header line over {MAX_HEADER_BYTES} bytes") from None
 
 
 class AioServer:
     """A running asyncio front end on a background thread.
 
-    Mirrors the ergonomics of ``ThreadingHTTPServer`` for callers that
-    manage the server from synchronous code: construct via
-    :func:`serve_aio`, read :attr:`address`, call :meth:`stop`.
+    For callers that manage the server from synchronous code: construct
+    via :func:`serve_aio`, read :attr:`address`, call :meth:`stop`.
     """
 
     def __init__(self, server_factory):

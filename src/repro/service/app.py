@@ -1,10 +1,9 @@
 """Transport-agnostic HTTP application layer for the Remos service.
 
-Both front ends — the legacy one-thread-per-connection server in
-:mod:`repro.service.http` and the default asyncio server in
-:mod:`repro.service.aio` — funnel every request through
-:func:`handle_request` here, so the request-scoped observability contract
-from ``docs/OBSERVABILITY.md`` holds identically regardless of transport:
+The asyncio server in :mod:`repro.service.aio` — alone or as the N
+pre-forked workers of :mod:`repro.service.workers` — funnels every request
+through :func:`handle_request` here, which owns the request-scoped
+observability contract from ``docs/OBSERVABILITY.md``:
 
 * every request runs under a :class:`~repro.obs.context.TraceContext` —
   parsed from an incoming W3C ``traceparent`` header or freshly generated
@@ -30,18 +29,53 @@ body, ``X-Remos-Degraded`` header) or the request is shed with **503** and
 a ``Retry-After`` header, depending on the configured mode.  Health,
 metrics and debug endpoints are never shed.
 
-Endpoints (the docstring of :mod:`repro.service.http` documents the wire
-formats): ``GET /healthz``, ``GET /metrics``, ``GET /telemetry``,
-``GET /debug/slow``, ``GET /debug/slo``, ``GET /debug/profile``,
-``GET /graph?nodes=…``, ``GET /node/<host>``, ``POST /flow_info``.
-``/graph`` and ``/node/<host>`` accept ``timeframe`` / ``window`` /
-``horizon`` / ``predictor`` query parameters mirroring the JSON timeframe
-spec (``?timeframe=future&horizon=30&predictor=auto``).
+Client garbage is answered **400** naming the offending field — a body or
+timeframe that is not a JSON object, a flow list that is not a list, a
+non-string ``src``/``dst``, a non-finite number — never 500.
+
+Endpoints
+---------
+``GET /healthz``
+    Liveness plus the current snapshot epoch.  **503** with a
+    machine-readable ``reasons`` list when a freshness SLO is blown
+    (stale epoch, overlong sweep) — see ``QueryFrontEnd.health``.
+``GET /metrics``
+    Prometheus text exposition of the global registry.
+``GET /telemetry``
+    The combined telemetry report as JSON (with SLO + slow-log sections).
+``GET /debug/slow``
+    The slow-query log, newest first: span tree, args, epoch stamps and
+    cache profile per record.  ``?limit=N`` caps the count.
+``GET /debug/slo``
+    Declared objectives: latency error budgets and freshness monitors,
+    plus the predictive-admission verdict counters.
+``GET /debug/profile?seconds=N``
+    Run the sampling wall-clock profiler for N seconds (default 2, max
+    30; ``interval`` in seconds optional) and return collapsed stacks as
+    ``text/plain`` — flamegraph-ready.  One profile at a time per
+    process (409 otherwise).
+``GET /graph?nodes=a,b,c``
+    ``remos_get_graph`` over the named nodes.  Timeframe selection via
+    flat query parameters mirroring the JSON spec:
+    ``timeframe=static|current|history|future`` with ``window`` /
+    ``horizon`` / ``predictor`` as needed
+    (``/graph?nodes=a,b&timeframe=future&horizon=30&predictor=auto``).
+``GET /node/<host>``
+    ``node_info`` for one compute host; same timeframe parameters.
+``POST /flow_info``
+    Body: ``{"fixed": [...], "variable": [...], "independent": [...],
+    "timeframe": {...}}`` where each flow is ``{"src", "dst",
+    "requested"?, "cap"?, "name"?}`` and the timeframe is ``{"kind":
+    "static"|"current"|"history"|"future", "window"?, "horizon"?,
+    "predictor"?}`` (defaults to current).  The Python kwarg spellings
+    ``fixed_flows``/``variable_flows``/``independent_flows`` are
+    accepted as aliases.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -53,7 +87,7 @@ from repro.core import Flow, Timeframe
 from repro.obs.profiler import SamplingProfiler
 from repro.util.errors import ReproError
 
-_log = obs.get_logger("repro.service.http")
+_log = obs.get_logger("repro.service.app")
 
 #: One profile at a time per process: the sampler reads every thread.
 _profile_lock = threading.Lock()
@@ -62,37 +96,59 @@ _profile_lock = threading.Lock()
 MAX_PROFILE_SECONDS = 30.0
 
 
+def _number(
+    spec: dict, key: str, default: float | None = None, unbounded: bool = False
+) -> float:
+    """``spec[key]`` as a float: finite, or at most infinite if *unbounded*."""
+    value = spec.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ReproError(f"{key} must be a number, got {value!r}") from None
+    if math.isnan(number) or (math.isinf(number) and not unbounded):
+        raise ReproError(f"{key} must be finite, got {value!r}")
+    return number
+
+
+def _string(
+    spec: dict, key: str, default: str | None = None, optional: bool = False
+) -> str | None:
+    """``spec[key]`` as a string (``None`` passes only if *optional*)."""
+    value = spec.get(key, default)
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    raise ReproError(f"{key} must be a string, got {value!r}")
+
+
 def _parse_flow(spec: dict) -> Flow:
     if not isinstance(spec, dict) or "src" not in spec or "dst" not in spec:
         raise ReproError(f"flow spec needs src and dst: {spec!r}")
     return Flow(
-        src=spec["src"],
-        dst=spec["dst"],
-        requested=float(spec.get("requested", 1.0)),
-        cap=float(spec.get("cap", float("inf"))),
-        name=spec.get("name"),
+        src=_string(spec, "src"),
+        dst=_string(spec, "dst"),
+        requested=_number(spec, "requested", 1.0),
+        cap=_number(spec, "cap", float("inf"), unbounded=True),
+        name=_string(spec, "name", optional=True),
     )
 
 
 def _parse_timeframe(spec: dict | None) -> Timeframe:
-    if not spec:
+    if spec is None:
         return Timeframe.current()
+    if not isinstance(spec, dict):
+        raise ReproError(f"timeframe must be an object, got {spec!r}")
     kind = spec.get("kind", "current")
     if kind == "static":
         return Timeframe.static()
     if kind == "current":
         return Timeframe.current()
     if kind == "history":
-        if "window" not in spec:
-            raise ReproError('history timeframe needs a "window" (seconds)')
-        return Timeframe.history(float(spec["window"]))
+        return Timeframe.history(_number(spec, "window"))
     if kind == "future":
-        if "horizon" not in spec:
-            raise ReproError('future timeframe needs a "horizon" (seconds)')
         return Timeframe.future(
-            float(spec["horizon"]),
-            predictor=spec.get("predictor", "ewma"),
-            window=float(spec.get("window", 60.0)),
+            _number(spec, "horizon"),
+            predictor=_string(spec, "predictor", "ewma"),
+            window=_number(spec, "window", 60.0),
         )
     raise ReproError(f"unknown timeframe kind {kind!r}")
 
@@ -210,9 +266,9 @@ def handle_request(service, request: Request) -> Response:
         except Exception as error:  # defensive: keep the server alive
             response = Response.error(500, error)
         finally:
-            # flow_info settles its own SLO inside the service (the
-            # coalescing path owns the richer record); everything else is
-            # settled here at the HTTP boundary.
+            # flow_info settles its own SLO inside the service (which owns
+            # the richer record); everything else is settled here at the
+            # HTTP boundary.
             if endpoint != "flow_info":
                 service.slos.record_request(
                     endpoint, time.perf_counter() - started
@@ -396,10 +452,15 @@ def _route_profile(params: dict) -> Response:
 def _route_post(service, url, request: Request) -> Response:
     body = json.loads(request.body.decode("utf-8") or "{}")
     if url.path == "/flow_info":
+        if not isinstance(body, dict):
+            raise ReproError(f"request body must be a JSON object, got {body!r}")
+
         # Accept both the short key and the Python kwarg name
         # ("variable" / "variable_flows", etc.).
         def flows(key: str) -> list[Flow]:
             specs = body.get(key, body.get(f"{key}_flows", []))
+            if not isinstance(specs, list):
+                raise ReproError(f"{key} must be a list of flow specs, got {specs!r}")
             return [_parse_flow(f) for f in specs]
 
         timeframe = _parse_timeframe(body.get("timeframe"))

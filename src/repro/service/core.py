@@ -3,13 +3,14 @@
 Two layers live here:
 
 * :class:`QueryFrontEnd` — the *reader* side: snapshot-isolated query
-  methods, the coalescing queue, latency SLOs, the slow-query log,
-  health and telemetry.  It owns no data source of its own — something
-  else must publish snapshots through ``self.remos``.  The multi-process
-  worker replicas (:mod:`repro.service.workers`) subclass it directly.
-* :class:`RemosService` — the full single-process service: a front end
-  plus the background **sweeper** thread that owns every mutation
-  (advance the engine, refresh the collector master, publish).
+  methods, the one-at-a-time flow-query turn, latency SLOs, the
+  slow-query log, health and telemetry.  It owns no data source of its
+  own — something else must publish snapshots through ``self.remos``.
+  The multi-process worker replicas (:mod:`repro.service.workers`)
+  subclass it directly.
+* :class:`SweepingService` — a front end plus the background **sweeper**
+  thread that owns every mutation (advance the engine, refresh, publish);
+  :class:`RemosService` is the one over a single collector stack.
 """
 
 from __future__ import annotations
@@ -26,31 +27,9 @@ from repro.obs.slo import SLORegistry
 from repro.obs.slowlog import SlowQueryLog
 from repro.service.admission import AdmissionController
 from repro.sim import Engine
-from repro.util.errors import ConfigurationError, QueryError
+from repro.util.errors import ConfigurationError
 
 _log = obs.get_logger("repro.service")
-
-
-class _Pending:
-    """One waiting flow_info request inside the coalescing queue."""
-
-    __slots__ = ("query", "timeframe", "result", "error", "done", "leader_span")
-
-    def __init__(self, query: FlowQuery, timeframe: Timeframe):
-        self.query = query
-        self.timeframe = timeframe
-        self.result: FlowInfoResult | None = None
-        self.error: BaseException | None = None
-        self.done = False
-        #: ``(trace_id, span_id)`` of the batch span that answered this
-        #: request — followers link it from their own trace.
-        self.leader_span: tuple[str, str] | None = None
-
-    def outcome(self) -> FlowInfoResult:
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
 
 
 class QueryFrontEnd:
@@ -59,7 +38,7 @@ class QueryFrontEnd:
     Query methods are safe to call from any number of threads; each runs
     against the snapshot current at its start (``remos.snapshot()``
     exposes it for differential testing).  Concurrent ``flow_info``
-    requests sharing a timeframe are coalesced into shared batches.
+    requests evaluate one at a time (see :meth:`flow_info`).
 
     Subclasses provide the snapshot *source*: :class:`RemosService`
     publishes from its own sweeper thread, a worker replica publishes
@@ -74,8 +53,6 @@ class QueryFrontEnd:
         any already-built facade exposing ``flow_info_batch`` — a
         :class:`~repro.core.api.Remos` or a
         :class:`~repro.federation.api.FederatedRemos`.
-    max_batch:
-        Most flow_info requests answered by one coalesced batch.
     workers:
         Thread-pool size for :meth:`flow_info_async`.
     slow_query_threshold:
@@ -107,7 +84,6 @@ class QueryFrontEnd:
     def __init__(
         self,
         source: Collector,
-        max_batch: int = 8,
         workers: int = 4,
         slow_query_threshold: float = 0.25,
         slow_log_capacity: int = 128,
@@ -118,9 +94,6 @@ class QueryFrontEnd:
         admission_horizon: float = 5.0,
         admission_retry_after: float = 1.0,
     ):
-        if max_batch < 1:
-            raise ConfigurationError("max_batch must be at least 1")
-        self._max_batch = max_batch
         self._workers = workers
         #: Queries never publish: the snapshot source is the single writer.
         if isinstance(source, Cell):
@@ -131,15 +104,11 @@ class QueryFrontEnd:
             self.remos = Remos(source, auto_publish=False)
         self._executor: ThreadPoolExecutor | None = None
         self._started = False
-        # Coalescing state, all guarded by _cond.
-        self._cond = threading.Condition()
-        self._queue: dict[Timeframe, list[_Pending]] = {}
-        self._leader_busy = False
-        # Service counters (leader/sweeper-only writers).
+        #: Held around every flow-query evaluation: one at a time.
+        self._turn = threading.Lock()
+        # Service counters (sweeper-only writers).
         self.sweeps = 0
         self.publishes = 0
-        self.batches_executed = 0
-        self.queries_batched = 0
         self.sweep_errors = 0
         # Request-scoped observability: slow-query forensics + declared SLOs.
         self.slowlog = SlowQueryLog(
@@ -159,7 +128,6 @@ class QueryFrontEnd:
         self.slos.declare_latency("graph", threshold_seconds=0.5, target=0.99)
         self.slos.declare_latency("node", threshold_seconds=0.25, target=0.99)
         self.last_sweep_seconds: float | None = None
-        self.last_sweep_at: float | None = None
         # Telemetry-only sweep schedule; RemosService overwrites these.
         self._sweep_interval: float | None = None
         self._sim_step: float | None = None
@@ -182,11 +150,9 @@ class QueryFrontEnd:
         """The constructor kwargs that rebuild an equivalent front end.
 
         The multi-process front door uses this to give every worker
-        replica the same batching, forensics and freshness settings as
-        the parent service.
+        replica the parent's forensics and freshness settings.
         """
         return {
-            "max_batch": self._max_batch,
             "workers": self._workers,
             "slow_query_threshold": self.slowlog.threshold_seconds,
             "slow_log_capacity": self.slowlog.capacity,
@@ -260,22 +226,18 @@ class QueryFrontEnd:
         independent_flows: list[Flow] | None = None,
         timeframe: Timeframe | None = None,
     ) -> FlowInfoResult:
-        """A flow query, coalesced with concurrent ones when possible.
+        """A flow query; concurrent ones evaluate one at a time.
 
-        Requests sharing a timeframe that arrive while another is being
-        answered are drained by one leader into a single
-        :meth:`~repro.core.api.Remos.flow_info_batch` call — identical
-        answers, shared per-epoch work.  A solitary request degenerates to
-        a batch of one.
+        Evaluation is CPU-bound Python: two at once only trade the GIL
+        every switch interval and both finish later (figures in
+        ``docs/CONCURRENCY.md``), so each call takes its turn on one lock.
 
-        Request-scoped observability: the whole call (queueing, waiting,
-        leading or following) runs under a ``service.flow_info`` span; a
-        *follower* whose answer was computed by another thread's batch
-        records a **span link** to the leader's ``service.flow_info_batch``
-        span, so the trace explains where the time actually went.  Every
-        completed call feeds the ``flow_info`` latency SLO and — above the
-        slow-query threshold — the slow-query log, with the full span
-        tree, arguments, epoch stamps and cache-hit profile.
+        Request-scoped observability: the whole call runs under a
+        ``service.flow_info`` span stamped with ``turn_wait``, the seconds
+        spent waiting for the turn.  Every completed call feeds the
+        ``flow_info`` latency SLO and — above the slow-query threshold —
+        the slow-query log, with the full span tree, arguments, epoch
+        stamps and cache-hit profile.
         """
         timeframe = timeframe or Timeframe.current()
         query = FlowQuery(
@@ -283,7 +245,6 @@ class QueryFrontEnd:
             variable=tuple(variable_flows or ()),
             independent=tuple(independent_flows or ()),
         )
-        pending = _Pending(query, timeframe)
         shard = self._shard_of_query(query)
         span = obs.span("service.flow_info")
         stats = self.remos.cache_stats
@@ -292,20 +253,13 @@ class QueryFrontEnd:
         error: BaseException | None = None
         try:
             with span as sp:
-                result = self._coalesce(pending)
+                with self._turn:
+                    turn_wait = time.perf_counter() - started
+                    result = self.remos.flow_info_batch([query], timeframe)[0]
                 if sp:
-                    sp.set(
-                        flows=len(query.flows),
-                        coalesced=pending.leader_span is not None
-                        and pending.leader_span[0] != sp.trace_id,
-                    )
+                    sp.set(flows=len(query.flows), turn_wait=turn_wait)
                     if shard is not None:
                         sp.set(shard=shard)
-                    if (
-                        pending.leader_span is not None
-                        and pending.leader_span[0] != sp.trace_id
-                    ):
-                        sp.add_link(*pending.leader_span, role="coalescing_leader")
                 return result
         except BaseException as exc:
             error = exc
@@ -323,34 +277,6 @@ class QueryFrontEnd:
                 error=error,
                 shard=shard,
             )
-
-    def _coalesce(self, pending: _Pending) -> FlowInfoResult:
-        """The leader/follower protocol: wait, or drain a group and lead."""
-        with self._cond:
-            self._queue.setdefault(pending.timeframe, []).append(pending)
-        while True:
-            with self._cond:
-                while not pending.done and self._leader_busy:
-                    self._cond.wait(timeout=0.5)
-                if pending.done:
-                    return pending.outcome()
-                self._leader_busy = True
-                group = self._queue.get(pending.timeframe, [])
-                take = group[: self._max_batch]
-                rest = group[self._max_batch :]
-                if rest:
-                    self._queue[pending.timeframe] = rest
-                else:
-                    self._queue.pop(pending.timeframe, None)
-            try:
-                if take:
-                    self._execute_group(take)
-            finally:
-                with self._cond:
-                    self._leader_busy = False
-                    self._cond.notify_all()
-            if pending.done:
-                return pending.outcome()
 
     def _shard_of_query(self, query: FlowQuery) -> str | None:
         """The shard a flow query lands on, for span/slowlog stamping.
@@ -439,51 +365,6 @@ class QueryFrontEnd:
             status=status,
         )
 
-    def _execute_group(self, group: list[_Pending]) -> None:
-        """Answer one drained group with a single batched query."""
-        timeframe = group[0].timeframe
-        with obs.span("service.flow_info_batch") as sp:
-            if sp:
-                # Stamp the batch span's identity on every member *before*
-                # executing, so even a poisoned batch leaves followers a
-                # link to the span that tried.
-                sp.set(batch=len(group))
-                identity = (sp.trace_id, sp.span_id)
-                for p in group:
-                    p.leader_span = identity
-            try:
-                results = self.remos.flow_info_batch(
-                    [p.query for p in group], timeframe
-                )
-            except QueryError:
-                # One invalid scenario poisons a whole batch; retry each
-                # request alone so the error lands only where it belongs.
-                for p in group:
-                    try:
-                        p.result = self.remos.flow_info_batch([p.query], timeframe)[0]
-                    except BaseException as exc:
-                        p.error = exc
-                    p.done = True
-            except BaseException as exc:
-                for p in group:
-                    p.error = exc
-                    p.done = True
-            else:
-                for p, result in zip(group, results):
-                    p.result = result
-                    p.done = True
-        self.batches_executed += 1
-        self.queries_batched += len(group)
-        obs.inc(
-            "remos_service_batches_total",
-            help="Coalesced flow_info batches executed by the query service",
-        )
-        obs.inc(
-            "remos_service_batched_queries_total",
-            amount=len(group),
-            help="flow_info requests answered through coalesced batches",
-        )
-
     def flow_info_async(self, **kwargs) -> Future:
         """Submit :meth:`flow_info` to the service's thread pool."""
         if self._executor is None:
@@ -534,19 +415,21 @@ class QueryFrontEnd:
     def telemetry(self) -> dict:
         """The facade's telemetry plus service, SLO and slow-log sections."""
         report = self.remos.telemetry()
+        report["slo"] = self.slos.to_dict()
+        flow_queries = report["slo"]["latency"]["flow_info"]["total"]
         report["service"] = {
             "running": self.running,
             "sweeps": self.sweeps,
             "sweep_errors": self.sweep_errors,
             "publishes": self.publishes,
-            "batches_executed": self.batches_executed,
-            "queries_batched": self.queries_batched,
+            # benchmarks/e2e still reads its mean_batch from these two
+            # keys; both are the flow_info SLO's request count now.
+            "batches_executed": flow_queries,
+            "queries_batched": flow_queries,
             "sweep_interval": self._sweep_interval,
             "sim_step": self._sim_step,
-            "max_batch": self._max_batch,
             "last_sweep_seconds": self.last_sweep_seconds,
         }
-        report["slo"] = self.slos.to_dict()
         report["admission"] = self.admission.to_dict()
         slowlog = self.slowlog.to_dict(limit=0)
         slowlog.pop("records")
@@ -558,22 +441,18 @@ class QueryFrontEnd:
         return obs.get_registry().to_prometheus()
 
 
-class RemosService(QueryFrontEnd):
-    """A snapshot-isolated Remos query service over one collector stack.
+class SweepingService(QueryFrontEnd):
+    """A query front end fed by one background **sweeper** thread.
 
-    One background **sweeper** thread owns every mutation: it steps the
-    simulation engine, refreshes the collector master (when there is one),
-    and publishes each completed sweep as an immutable snapshot.  The
-    reader side — queries, coalescing, SLOs, slow log — is inherited from
-    :class:`QueryFrontEnd`.
+    Each iteration the sweeper advances the engine by ``sim_step`` and
+    calls ``_sweep_once()``.  Subclasses supply ``_make_ready()`` (start
+    the collectors, run the engine until each has a view), ``_sweep_once()``
+    (fold the measurement state, publish what moved), ``_stop_collectors()``.
 
     Parameters
     ----------
-    collector:
-        The collector (or :class:`CollectorMaster`) to serve queries from,
-        or an already-wrapped :class:`~repro.collector.cell.Cell`.  A bare
-        collector is wrapped in ``Cell("root", ...)`` — a single-cell
-        deployment is just a federation of one.
+    source, **front_end:
+        As for :class:`QueryFrontEnd`.
     env:
         The simulation engine the sweeper advances.  Only the sweeper
         thread may run it.
@@ -581,69 +460,47 @@ class RemosService(QueryFrontEnd):
         Wall-clock seconds between sweeper iterations.
     sim_step:
         Simulated seconds advanced per sweeper iteration.
-    **front_end:
-        Everything :class:`QueryFrontEnd` accepts (``max_batch``,
-        ``workers``, ``slow_query_threshold``, ``slow_log_capacity``,
-        ``max_epoch_age``, ``max_sweep_seconds``, ``admission_mode``,
-        ``admission_threshold_qps``, ``admission_horizon``,
-        ``admission_retry_after``).
     """
 
     def __init__(
         self,
-        collector: Collector,
+        source,
         env: Engine,
         sweep_interval: float = 0.02,
         sim_step: float = 1.0,
         **front_end,
     ):
-        cell = collector if isinstance(collector, Cell) else Cell("root", collector)
-        super().__init__(cell, **front_end)
-        self._cell = cell
-        self._collector = cell.collector
+        super().__init__(source, **front_end)
         self._env = env
         self._sweep_interval = sweep_interval
         self._sim_step = sim_step
-        self._stop_event = threading.Event()
         self._sweeper: threading.Thread | None = None
         self._prepared = False
 
-    @classmethod
-    def from_world(cls, world, **kwargs) -> "RemosService":
-        """Build a service over a testbed :class:`~repro.testbed.World`."""
-        if world.collector is None:
-            raise ConfigurationError("world has no collector")
-        return cls(world.collector, world.env, **kwargs)
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def prepare(self, warmup: float = 0.0) -> "RemosService":
-        """Run the collector to readiness (+ *warmup* simulated seconds)
-        and publish the first snapshot — **without starting any thread**.
-
-        The multi-process front door calls this before forking its
-        workers so the fork happens while the parent is still
-        single-threaded; :meth:`start` finishes the job (idempotently)
-        afterwards.
+    def prepare(self, warmup: float = 0.0):
+        """Run the collectors to readiness (+ *warmup* simulated seconds)
+        and publish the first snapshot — **without starting any thread**,
+        so the multi-process front door can fork its workers while the
+        parent is still single-threaded; :meth:`start` finishes the job
+        idempotently.
         """
         if self._prepared:
             return self
-        if not self._collector.ready:
-            ready = self._collector.start()
-            self._env.run(until=ready)
+        self._make_ready()
         if warmup > 0:
             self._env.run(until=self._env.now + warmup)
-        self._cell.refresh()
+        self._sweep_once()
         self.publishes = self.remos.publisher.publishes
         self._prepared = True
         return self
 
-    def start(self, warmup: float = 0.0) -> "RemosService":
+    def start(self, warmup: float = 0.0):
         """Prepare (if not already), then start the sweeper thread."""
         if self._started:
             return self
         self.prepare(warmup)
         self._activate()
+        self._stop_event = threading.Event()
         self._sweeper = threading.Thread(
             target=self._sweep_loop, name="remos-sweeper", daemon=True
         )
@@ -652,7 +509,7 @@ class RemosService(QueryFrontEnd):
         return self
 
     def stop(self) -> None:
-        """Stop the sweeper and the collector (idempotent)."""
+        """Stop the sweeper and the collectors (idempotent)."""
         if not self._started:
             return
         self._stop_event.set()
@@ -660,12 +517,11 @@ class RemosService(QueryFrontEnd):
             self._sweeper.join(timeout=5.0)
             self._sweeper = None
         super().stop()
-        self._collector.stop()
-        self._stop_event = threading.Event()
+        self._stop_collectors()
         self._prepared = False
         _log.info("service_stopped", sweeps=self.sweeps, publishes=self.publishes)
 
-    def __enter__(self) -> "RemosService":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -678,7 +534,7 @@ class RemosService(QueryFrontEnd):
             started = time.perf_counter()
             try:
                 self._env.run(until=self._env.now + self._sim_step)
-                self._cell.refresh()
+                self._sweep_once()
                 self.sweeps += 1
                 self.publishes = self.remos.publisher.publishes
                 obs.inc(
@@ -696,9 +552,49 @@ class RemosService(QueryFrontEnd):
                 # staleness risk as one that died.
                 elapsed = time.perf_counter() - started
                 self.last_sweep_seconds = elapsed
-                self.last_sweep_at = time.time()
                 obs.observe(
                     "remos_sweep_seconds",
                     elapsed,
                     help="Wall-clock seconds per sweeper iteration",
                 )
+
+
+class RemosService(SweepingService):
+    """A snapshot-isolated Remos query service over one collector stack.
+
+    Each sweep refreshes the collector master (when there is one) and
+    publishes the completed sweep as an immutable snapshot.
+
+    Parameters
+    ----------
+    collector:
+        The collector (or :class:`CollectorMaster`) to serve queries from,
+        or an already-wrapped :class:`~repro.collector.cell.Cell`.  A bare
+        collector is wrapped in ``Cell("root", ...)`` — a single-cell
+        deployment is just a federation of one.
+    env, sweep_interval, sim_step, **front_end:
+        As for :class:`SweepingService`.
+    """
+
+    def __init__(self, collector: Collector, env: Engine, **kwargs):
+        cell = collector if isinstance(collector, Cell) else Cell("root", collector)
+        super().__init__(cell, env, **kwargs)
+        self._cell = cell
+        self._collector = cell.collector
+
+    @classmethod
+    def from_world(cls, world, **kwargs) -> "RemosService":
+        """Build a service over a testbed :class:`~repro.testbed.World`."""
+        if world.collector is None:
+            raise ConfigurationError("world has no collector")
+        return cls(world.collector, world.env, **kwargs)
+
+    def _make_ready(self) -> None:
+        if not self._collector.ready:
+            self._env.run(until=self._collector.start())
+
+    def _sweep_once(self) -> None:
+        self._cell.refresh()
+
+    def _stop_collectors(self) -> None:
+        self._collector.stop()

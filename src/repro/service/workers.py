@@ -13,7 +13,7 @@ giving up the single-writer sweep discipline from ``docs/CONCURRENCY.md``:
   (:class:`~repro.service.aio.AsyncHTTPServer`) on the shared listening
   socket — the kernel load-balances ``accept()`` across workers.  Its
   :class:`WorkerReplica` is a full :class:`~repro.service.core.QueryFrontEnd`
-  (coalescing, SLOs, slow log, health) whose snapshot source is a
+  (flow-query turn, SLOs, slow log, health) whose snapshot source is a
   :class:`ViewInbox`: a collector that serves whatever view the parent
   last installed.  A worker never mutates shared state; installing a
   received epoch republishes it locally, so snapshot isolation, epoch
@@ -111,7 +111,6 @@ class WorkerReplica(QueryFrontEnd):
         self.sweeps += 1
         self.publishes = self.remos.publisher.publishes
         self.last_sweep_seconds = time.perf_counter() - started
-        self.last_sweep_at = time.time()
 
     def _listen(self) -> None:
         conn = self._conn

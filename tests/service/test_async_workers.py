@@ -1,10 +1,11 @@
 """The asyncio front end and the multi-process epoch handoff.
 
-The asyncio server must honour the exact observability contract the
-threaded server established (both delegate to
-:func:`repro.service.app.handle_request`): traceparent echo on every
-response including errors, keep-alive connection reuse, structured
-status codes.  The worker tests pin the handoff protocol: a
+The asyncio server must honour the observability contract of
+:func:`repro.service.app.handle_request` on the wire: traceparent echo on
+every response including errors, keep-alive connection reuse, structured
+status codes — and client garbage, at the parser or in a well-formed body
+of the wrong shape, is answered once with a 4xx/501, never a 500 or a
+bare close.  The worker tests pin the handoff protocol: a
 :class:`WorkerReplica` fed pickled frozen views over a pipe republishes
 them locally (epoch advances, queries answer), always jumping to the
 latest pending view, and an end-to-end pre-forked server serves real
@@ -13,6 +14,7 @@ HTTP from every worker while only the parent sweeps.
 
 import json
 import multiprocessing
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -40,6 +42,27 @@ def live():
     yield service, server, base
     server.stop()
     service.stop()
+
+
+@pytest.fixture
+def unhandled(live):
+    """What reaches the server loop's exception handler during one test."""
+    loop, seen = live[1]._loop, []
+    loop.call_soon_threadsafe(
+        loop.set_exception_handler, lambda _loop, context: seen.append(context)
+    )
+    yield seen
+    loop.call_soon_threadsafe(loop.set_exception_handler, None)
+
+
+def raw_exchange(server, payload: bytes) -> bytes:
+    """Everything the server answers *payload* with before it closes."""
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def fetch(url: str, data: bytes | None = None, headers: dict | None = None):
@@ -111,14 +134,38 @@ class TestAsyncFrontEnd:
         finally:
             conn.close()
 
-    def test_malformed_request_line_answers_400(self, live):
-        import socket as socketlib
-
+    def test_malformed_request_line_answers_400(self, live, unhandled):
         _, server, _ = live
-        with socketlib.create_connection(server.address, timeout=10) as sock:
-            sock.sendall(b"NONSENSE\r\n\r\n")
-            reply = sock.recv(4096)
+        reply = raw_exchange(server, b"NONSENSE\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 400")
+        assert reply.count(b"HTTP/1.1 ") == 1 and not unhandled
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["header", "target"],
+    )
+    def test_overlong_line_answers_431(self, live, unhandled, payload):
+        _, server, _ = live
+        reply = raw_exchange(server, payload)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 431") and b"Connection: close" in head
+        assert "error" in json.loads(body)
+        assert reply.count(b"HTTP/1.1 ") == 1 and not unhandled
+
+    def test_chunked_body_answers_one_501(self, live, unhandled):
+        _, server, _ = live
+        chunk = b'{"variable": [{"src": "m-1", "dst": "m-4"}]}'
+        reply = raw_exchange(
+            server,
+            b"POST /flow_info HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + f"{len(chunk):x}\r\n".encode() + chunk + b"\r\n0\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 501") and b"Connection: close" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1 and not unhandled
 
     def test_metrics_exposes_vectorized_gauge(self, live):
         _, _, base = live
@@ -138,6 +185,72 @@ class TestAsyncFrontEnd:
         assert status == 200
         records = json.loads(body)["records"]
         assert any(r["endpoint"] == "flow_info" for r in records)
+
+
+FLOW = {"src": "m-1", "dst": "m-4"}
+
+#: Well-formed JSON / query strings of the wrong shape -> the field the 400 names.
+WRONG_SHAPES = [
+    ("/flow_info", [], "body"),
+    ("/flow_info", 7, "body"),
+    ("/flow_info", {"variable": 5}, "variable"),
+    ("/flow_info", {"timeframe": "current"}, "timeframe"),
+    ("/flow_info", {"variable": [{**FLOW, "requested": None}]}, "requested"),
+    ("/flow_info", {"variable": [{**FLOW, "src": ["m-1"]}]}, "src"),
+    ("/flow_info", {"timeframe": {"kind": "history", "window": None}}, "window"),
+    ("/node/m-1?timeframe=future&horizon=nan", None, "horizon"),
+    ("/graph?nodes=m-1,m-4&timeframe=history&window=inf", None, "window"),
+]
+
+#: More garbage, held only to "never a 5xx".
+GARBAGE = [
+    ("/flow_info", b"\xff\xfe"),
+    ("/flow_info", b"{not json"),
+    ("/flow_info", b'{"variable": null}'),
+    ("/flow_info", b'{"variable": [7]}'),
+    ("/flow_info", b'{"variable": [{"src": null, "dst": "m-4"}]}'),
+    ("/flow_info", b'{"variable": [{"src": "m-1", "dst": "m-4", "name": ["x"]}]}'),
+    ("/flow_info", b'{"variable": [{"src": "m-1", "dst": "m-4", "cap": NaN}]}'),
+    ("/flow_info", b'{"variable": [{"src": "m-1", "dst": "m-4", "requested": Infinity}]}'),
+    ("/flow_info", b'{"timeframe": []}'),
+    ("/flow_info", b'{"timeframe": {"kind": ["history"]}}'),
+    ("/flow_info", b'{"timeframe": {"kind": "future", "horizon": 5, "predictor": ["x"]}}'),
+    ("/flow_info", b'{"timeframe": {"kind": "future", "horizon": {}}}'),
+    ("/no-such-path", b"[]"),
+    ("/graph?nodes=m-1&timeframe=bogus", None),
+    ("/graph?nodes=m-1,m-4&timeframe=future&horizon=-1", None),
+    ("/node/?timeframe=history&window=", None),
+    ("/debug/slow?limit=many", None),
+    ("/debug/profile?seconds=nan", None),
+    ("/debug/profile?seconds=0.05&interval=nan", None),
+    ("/debug/profile?seconds=0.05&interval=inf", None),
+]
+
+
+class TestClientGarbage:
+    @pytest.mark.parametrize("target,body,field", WRONG_SHAPES)
+    def test_wrong_shape_answers_400_naming_the_field(self, live, target, body, field):
+        _, _, base = live
+        sent = "00-12345678123456781234567812345678-1234567812345678-01"
+        status, reply, headers = fetch(
+            base + target,
+            data=None if body is None else json.dumps(body).encode(),
+            headers={"traceparent": sent},
+        )
+        assert status == 400
+        assert field in json.loads(reply)["error"]
+        echoed = {k.lower(): v for k, v in headers.items()}["traceparent"]
+        assert echoed.split("-")[1] == sent.split("-")[1]
+
+    def test_no_garbage_is_ever_a_5xx(self, live):
+        _, _, base = live
+        shapes = [
+            (target, None if body is None else json.dumps(body).encode())
+            for target, body, _ in WRONG_SHAPES
+        ]
+        for target, data in shapes + GARBAGE:
+            status, _, _ = fetch(base + target, data=data)
+            assert 400 <= status < 500, f"{target} {data!r} answered {status}"
 
 
 class TestWorkerHandoff:

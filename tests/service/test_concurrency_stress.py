@@ -1,6 +1,6 @@
 """The snapshot-isolation contract under real thread contention.
 
-Three properties are enforced here (docs/CONCURRENCY.md):
+Four properties are enforced here (docs/CONCURRENCY.md):
 
 * **no torn reads** — N reader threads hammer flow_info/get_graph against
   a live sweeping writer without a single exception;
@@ -9,10 +9,13 @@ Three properties are enforced here (docs/CONCURRENCY.md):
 * **answer preservation** — every answer a reader obtained while one
   snapshot stayed current is *bit-identical* to a single-threaded
   cache-disabled oracle recomputing the same query against that
-  snapshot's frozen view.
+  snapshot's frozen view;
+* **one turn at a time** — flow-query evaluations never overlap, and a
+  query that raises hands the turn on.
 """
 
 import os
+import sys
 import threading
 
 import pytest
@@ -20,7 +23,7 @@ import pytest
 from repro.core import Flow, Remos, Timeframe
 from repro.service import RemosService
 from repro.testbed import TRAFFIC_M6_M8, build_cmu_testbed
-from repro.util.errors import CollectorError, ConfigurationError
+from repro.util.errors import CollectorError, ConfigurationError, ReproError
 
 #: Reader iterations per thread; CI's concurrency smoke raises it.
 ROUNDS = int(os.environ.get("REPRO_STRESS_ROUNDS", "30"))
@@ -104,38 +107,81 @@ class TestConcurrencyStress:
             )
         assert checked, "differential oracle never ran"
 
-    def test_batched_answers_match_unbatched(self):
-        # Coalescing is an optimisation, never a semantic change: a batch
-        # of identical queries answers exactly like a solitary one.
+    def test_flow_queries_take_turns(self, monkeypatch):
         service = _make_service()
+        timeframe = Timeframe.history(5.0)
+        real_batch = service.remos.flow_info_batch
+        guard = threading.Lock()
+        inside: list[int] = []
+        overlaps: list[int] = []
+        samples: list[tuple] = []
+
+        def watched_batch(queries, tf):
+            with guard:
+                inside.append(1)
+                if len(inside) > 1:
+                    overlaps.append(len(inside))
+            try:
+                before = service.remos.snapshot()
+                results = real_batch(queries, tf)
+                if service.remos.snapshot() is before and results:
+                    samples.append((before, results[0].to_dict()))
+                return results
+            finally:
+                with guard:
+                    inside.pop()
+
+        monkeypatch.setattr(service.remos, "flow_info_batch", watched_batch)
+        refused: list[BaseException] = []
+        errors: list[BaseException] = []
+
+        def reader() -> None:
+            try:
+                for round_ in range(20):
+                    if round_ % 5 == 4:  # a raising query must release the turn
+                        try:
+                            service.flow_info(
+                                variable_flows=[Flow("m-1", "no-such-host")],
+                                timeframe=timeframe,
+                            )
+                        except ReproError as exc:
+                            refused.append(exc)
+                    else:
+                        service.flow_info(
+                            variable_flows=QUERY_FLOWS, timeframe=timeframe
+                        )
+            except BaseException as exc:  # noqa: BLE001 - recorded for assertion
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # make an unguarded overlap near-certain
         try:
-            timeframe = Timeframe.history(5.0)
-            solo = service.flow_info(variable_flows=QUERY_FLOWS, timeframe=timeframe)
-            results = []
-
-            def query():
-                results.append(
-                    service.flow_info(variable_flows=QUERY_FLOWS, timeframe=timeframe)
-                )
-
-            threads = [threading.Thread(target=query) for _ in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            snapshot = service.remos.snapshot()
-            oracle = Remos(snapshot.view, enable_cache=False)
-            expected = oracle.flow_info(
-                variable_flows=QUERY_FLOWS, timeframe=timeframe
-            )
-            # All results computed against the final snapshot must equal the
-            # oracle; earlier-epoch results are covered by the stress test.
-            assert solo.to_dict().keys() == expected.to_dict().keys()
-            assert len(results) == 6
-            for result in results:
-                assert result.answers[0].label == "a"
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
         finally:
+            sys.setswitchinterval(interval)
             service.stop()
+
+        assert not any(thread.is_alive() for thread in threads), "a turn was never released"
+        assert not errors, f"reader raised: {errors[:3]}"
+        assert not overlaps, f"{len(overlaps)} evaluations overlapped"
+        assert len(refused) == 6 * 4
+        assert service.slos.to_dict()["latency"]["flow_info"]["total"] == 6 * 20
+        assert not service._turn.locked()
+        assert samples, "no evaluation ran entirely within one snapshot"
+        expected: dict[int, dict] = {}
+        for snapshot, answer in samples:
+            if snapshot.epoch not in expected:
+                oracle = Remos(snapshot.view, enable_cache=False)
+                expected[snapshot.epoch] = oracle.flow_info(
+                    variable_flows=QUERY_FLOWS, timeframe=timeframe
+                ).to_dict()
+            assert answer == expected[snapshot.epoch], (
+                f"epoch {snapshot.epoch}: answer diverged from the cold oracle"
+            )
 
 
 class TestSnapshotImmutability:
@@ -225,11 +271,11 @@ class TestServiceLifecycle:
             for future in futures:
                 result = future.result(timeout=30)
                 assert result.answers[0].label == "a"
-            assert service.queries_batched >= 8
+            assert service.slos.to_dict()["latency"]["flow_info"]["total"] >= 8
         finally:
             service.stop()
 
-    def test_bad_query_in_batch_only_fails_its_requester(self):
+    def test_bad_query_only_fails_its_requester(self):
         service = _make_service()
         try:
             timeframe = Timeframe.current()
@@ -256,7 +302,7 @@ class TestServiceLifecycle:
                 t.join()
             assert "good" in outcomes and not isinstance(
                 outcomes["good"], Exception
-            ), "valid request was poisoned by an invalid batch-mate"
+            ), "valid request was poisoned by a concurrent invalid one"
             assert isinstance(outcomes.get("bad"), Exception)
         finally:
             service.stop()

@@ -18,7 +18,7 @@ import pytest
 from repro import obs
 from repro.core import Flow
 from repro.obs.promparse import parse as prom_parse
-from repro.service import RemosService, serve_http
+from repro.service import RemosService, serve_aio
 from repro.testbed import build_cmu_testbed
 
 TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
@@ -42,14 +42,11 @@ def live():
         slow_query_threshold=0.0,  # record every query: forensics under test
     )
     service.start(warmup=5.0)
-    server = serve_http(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = serve_aio(service, port=0)
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", service, stream
+        yield f"http://127.0.0.1:{server.address[1]}", service, stream
     finally:
-        server.shutdown()
-        server.server_close()
+        server.stop()
         service.stop()
         obs.reset_observability()
 
@@ -152,9 +149,7 @@ class TestSlowQueryForensics:
         assert args["timeframe"].startswith("current")
         tree = record["span_tree"]
         assert tree["name"] == "service.flow_info"
-        assert any(
-            child["name"] == "service.flow_info_batch" for child in tree["children"]
-        )
+        assert tree["attributes"]["turn_wait"] >= 0.0
 
     def test_graph_queries_are_recorded_too(self, live):
         base, service, _ = live
@@ -211,56 +206,49 @@ class TestSlowQueryForensics:
         assert len(doc["records"]) <= 2
 
 
-class TestCoalescingSpanLinks:
-    def test_followers_link_to_the_leaders_batch_span(self, live, monkeypatch):
+class TestTurnWait:
+    def test_a_request_made_to_wait_records_turn_wait(self, live, monkeypatch):
         base, service, _ = live
-        # Coalescing needs genuine overlap, so make it: the first batch (the
-        # lone leader) is held inside ``flow_info_batch`` until two more
-        # requests are queued behind it.  Released, one of those two leads
-        # a batch of both and the other follows it.
+        # Hold the first request inside its evaluation (so inside its turn)
+        # while a second one arrives: the second's span must say how long
+        # it stood in line.
         entered, gate = threading.Event(), threading.Event()
         real_batch = service.remos.flow_info_batch
 
         def held_batch(queries, timeframe):
             if not entered.is_set():
                 entered.set()
-                assert gate.wait(timeout=30), "leader was never released"
+                assert gate.wait(timeout=30), "first request was never released"
             return real_batch(queries, timeframe)
 
         monkeypatch.setattr(service.remos, "flow_info_batch", held_batch)
+        markers = [f"{0xC0FFEE00 + i:032x}" for i in range(2)]
         results = []
 
-        def query(i):
+        def query(marker):
             status, _, _ = _post(
                 base + "/flow_info",
                 {"variable": [{"src": "m-1", "dst": "m-8"}]},
-                {"traceparent": f"00-{0xC0FFEE00 + i:032x}-00f067aa0ba902b7-01"},
+                {"traceparent": f"00-{marker}-00f067aa0ba902b7-01"},
             )
             results.append(status)
 
-        threads = [threading.Thread(target=query, args=(i,)) for i in range(3)]
+        threads = [threading.Thread(target=query, args=(m,)) for m in markers]
         threads[0].start()
         assert entered.wait(timeout=30), "no request reached flow_info_batch"
-        for t in threads[1:]:
-            t.start()
-        deadline = time.monotonic() + 30
-        while sum(map(len, service._queue.values())) < 2 and time.monotonic() < deadline:
-            time.sleep(0.005)
+        threads[1].start()
+        time.sleep(0.3)  # the second request is parked on the turn meanwhile
         gate.set()
         for t in threads:
             t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
-        assert results == [200] * 3
-        linked = [
-            record
-            for record in service.slowlog.records()
-            if record["span_tree"] is not None and record["span_tree"].get("links")
-        ]
-        assert linked, "expected at least one follower with a span link"
-        link = linked[0]["span_tree"]["links"][0]
-        assert link["attributes"]["role"] == "coalescing_leader"
-        # the link crosses traces: it points at a different trace id
-        assert link["trace_id"] != linked[0]["trace_id"]
+        assert results == [200] * 2
+        first, second = (
+            next(r for r in service.slowlog.records() if r["trace_id"] == marker)
+            for marker in markers
+        )
+        assert second["span_tree"]["attributes"]["turn_wait"] > 0.1
+        assert first["span_tree"]["attributes"]["turn_wait"] < 0.1
 
 
 class TestHealthAndSLO:
@@ -340,12 +328,10 @@ class TestHealthFlip:
             max_epoch_age=0.001,
         )
         service.start(warmup=2.0)
-        server = serve_http(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = serve_aio(service, port=0)
         try:
             time.sleep(0.1)  # let the first epoch age past the 1ms bound
-            base = f"http://127.0.0.1:{server.server_address[1]}"
+            base = f"http://127.0.0.1:{server.address[1]}"
             status, headers, body = _get(base + "/healthz")
             assert status == 503
             doc = json.loads(body)
@@ -355,6 +341,5 @@ class TestHealthFlip:
             assert reasons[0]["reading"] > reasons[0]["maximum"]
             assert "traceparent" in headers  # tracing works even when degraded
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             service.stop()

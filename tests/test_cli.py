@@ -71,10 +71,8 @@ class TestCommands:
 
 class TestTop:
     def test_top_renders_one_screen_against_a_live_server(self, capsys):
-        import threading
-
         from repro import obs
-        from repro.service import RemosService, serve_http
+        from repro.service import RemosService, serve_aio
         from repro.testbed import build_cmu_testbed
 
         obs.reset_observability()
@@ -86,9 +84,8 @@ class TestTop:
             slow_query_threshold=0.0,
         )
         service.start(warmup=2.0)
-        server = serve_http(service, port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
+        server = serve_aio(service, port=0)
+        base = f"http://127.0.0.1:{server.address[1]}"
         try:
             from repro.core import Flow
 
@@ -98,8 +95,7 @@ class TestTop:
                  "--interval", "0.1", "--no-clear"]
             )
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             service.stop()
             obs.reset_observability()
         assert code == 0
