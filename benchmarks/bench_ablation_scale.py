@@ -372,6 +372,73 @@ def test_vectorized_kernel_throughput_at_256_hosts(benchmark):
     assert 1.0 / vector_wall >= VECTORIZED_GATE_BATCHES_PER_S
 
 
+#: Demand counts of the crossover sweep: the first n ordered pairs among
+#: six spread hosts, either side of ``vectorized.MIN_DEMANDS``.
+CROSSOVER_DEMANDS = (2, 4, 6, 8, 10, 12, 14, 16, 20, 24)
+
+
+def test_array_evaluator_vs_scalar_plan_crossover(benchmark):
+    """Where the array evaluator starts to win — reported, not gated.
+
+    One warm ``Remos`` on the 64-host tree answers the same ``flow_info``
+    (n variable flows, all six availability levels) by both evaluators:
+    the array path (``snaparrays.evaluate_flow_query``: one filling run
+    over the level matrix) and the scalar plan (``plan.evaluate``: one
+    pure-Python solve per level).  Auto mode switches between them at
+    ``vectorized.MIN_DEMANDS``; this table is the data to re-fit that
+    constant from (ROADMAP item 5).  Answers must be equal at every size.
+    """
+    from repro.fairshare import vectorized
+
+    if not vectorized.HAVE_NUMPY:
+        pytest.skip("numpy not installed; no array evaluator to measure")
+
+    topology, hosts = build_tree(64)
+    pool = spread_hosts(hosts, 6)
+    pairs = [(src, dst) for src in pool for dst in pool if src != dst]
+    remos = Remos(NetworkView(topology=topology, metrics=MetricsStore()))
+    timeframe = Timeframe.current()
+
+    def timed(mode: bool, flows, calls: int = 300):
+        # Best single call: sub-millisecond walls on a shared box are
+        # only repeatable as a floor, not as a mean.
+        vectorized.set_vectorized(mode)
+        try:
+            answer = remos.flow_info(variable_flows=flows, timeframe=timeframe)  # warm
+            best = float("inf")
+            for _ in range(calls):
+                t0 = time.perf_counter()
+                remos.flow_info(variable_flows=flows, timeframe=timeframe)
+                best = min(best, time.perf_counter() - t0)
+            return best, answer
+        finally:
+            vectorized.set_vectorized(None)
+
+    def experiment():
+        rows = []
+        for n in CROSSOVER_DEMANDS:
+            flows = [Flow(src, dst, name=f"{src}->{dst}") for src, dst in pairs[:n]]
+            scalar_wall, scalar_answer = timed(False, flows)
+            array_wall, array_answer = timed(True, flows)
+            assert scalar_answer == array_answer
+            rows.append(
+                {
+                    "demands": n,
+                    "scalar_plan_ms": scalar_wall * 1e3,
+                    "array_ms": array_wall * 1e3,
+                    "scalar_over_array": scalar_wall / array_wall,
+                }
+            )
+        return rows
+
+    _results["crossover"] = {
+        "hosts": 64,
+        "levels": len(_LEVELS),
+        "min_demands": vectorized.MIN_DEMANDS,
+        "rows": benchmark.pedantic(experiment, rounds=1, iterations=1),
+    }
+
+
 def test_two_collectors_split_the_work(benchmark):
     """The §5 multi-collector idea, measured."""
 
@@ -459,6 +526,17 @@ def test_scale_report(benchmark):
             f"({v['batches_per_s']:.1f} batches/s, gate >= {v['gate_batches_per_s']:g}) vs "
             f"scalar {v['scalar_ms']:.1f}ms ({v['speedup']:.1f}x reported, bit-identical answers)"
         )
+    if "crossover" in _results:
+        c = _results["crossover"]
+        text += (
+            f"\n{c['hosts']}-host flow_info, {c['levels']} levels, array evaluator vs scalar plan "
+            f"(auto mode switches at {c['min_demands']} demands; reported, not gated):"
+        )
+        for row in c["rows"]:
+            text += (
+                f"\n  {row['demands']:>3} demands: scalar plan {row['scalar_plan_ms']:.3f}ms, "
+                f"array {row['array_ms']:.3f}ms ({row['scalar_over_array']:.2f}x)"
+            )
     emit("\n" + text)
 
     if sweep:
@@ -468,6 +546,7 @@ def test_scale_report(benchmark):
             "sweep": sweep,
             "engine_speedup": _results.get("speedup"),
             "vectorized_kernel": _results.get("vectorized"),
+            "evaluator_crossover": _results.get("crossover"),
         }
         out = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
         out.write_text(json.dumps(payload, indent=2) + "\n")

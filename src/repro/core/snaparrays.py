@@ -35,12 +35,16 @@ contract, not code: the same endpoint validation
 (``plan.validate_endpoint``) and label-uniqueness check raising the same
 ``QueryError`` texts, the same ``Flow.label`` labels and evaluation levels
 (``plan.LEVELS``/``PRICED``), the same staged fixed → variable →
-independent chaining under one ``fairshare.allocate`` span per level, one
-counted price read per crossed direction, and the same result assembly —
-quartiles sorted per flow, accuracy the worst among the priced resources,
-``satisfied``/``bottleneck`` read at the median.  The filling loop is
-:func:`repro.fairshare.vectorized.fill`.  Answers are **bit-identical** to
-the plan's (differentially fuzzed in
+independent chaining, one counted price read per crossed direction, and
+the same result assembly — quartiles sorted per flow, accuracy the worst
+among the priced resources, ``satisfied``/``bottleneck`` read at the
+median.  Where they differ is the shape of the solve: the plan runs the
+staged pipeline once per level, under one ``fairshare.allocate`` span
+each; here the ``(levels, resources)`` block the price columns hand over
+goes to :func:`repro.fairshare.vectorized.fill` whole, so each stage is
+**one** filling run over all six levels and the query records one
+``fairshare.allocate`` span (``levels=6``).  Answers are **bit-identical**
+to the plan's (differentially fuzzed in
 ``tests/fairshare/test_vectorized_maxmin.py`` and gated in
 ``benchmarks/bench_ablation_scale.py``); the plan remains the oracle and
 the no-numpy fallback.
@@ -383,64 +387,58 @@ def evaluate_flow_query(
     levels, present, accuracy = arrays.prices(timeframe, uniq)
     present_g = np.zeros(size, dtype=bool)
     present_g[uniq] = present
+    remaining = np.zeros((len(PRICED), size), dtype=np.float64)
+    remaining[:, uniq] = levels
 
-    # Solve every availability level through the staged pipeline.
-    rates: dict[tuple[str, str], "np.ndarray"] = {}
+    # Solve every availability level at once through the staged pipeline:
+    # one filling run per stage over the (levels, resources) block.
+    median = PRICED.index("median")
+    rates: dict[str, "np.ndarray"] = {}
     median_bottleneck: dict[str, "np.ndarray"] = {}
     median_satisfied = None
-    for level, clamped in zip(PRICED, levels):
-        remaining = np.zeros(size, dtype=np.float64)
-        remaining[uniq] = clamped
-        with obs.span("fairshare.allocate") as sp:
-            if sp:
-                sp.set(
-                    fixed=len(fixed),
-                    variable=len(variable),
-                    independent=len(independent),
-                    resources=int(present.sum()),
-                )
-            for klass, stage in stages:
-                local_ids = stage.res_ids
-                local_remaining = remaining[local_ids]
-                local_present = present_g[local_ids]
-                # Saturation thresholds are relative to this stage's
-                # entry-clamped limits — each stage sees capacities net
-                # of the earlier stages' allocations, as in the scalar
-                # fixed → variable → independent chain.
-                thresholds = _EPS * np.maximum(local_remaining, 1.0)
-                stage_rates, bottleneck, _ = _vectorized.fill(
-                    stage, local_remaining, local_present, thresholds
-                )
-                remaining[local_ids] = local_remaining
-                rates[(klass, level)] = stage_rates
-                if level == "median":
-                    median_bottleneck[klass] = bottleneck
-                    if klass == "fixed":
-                        requested = np.fromiter(
-                            (flow.requested for flow in fixed),
-                            dtype=np.float64,
-                            count=len(fixed),
-                        )
-                        median_satisfied = stage_rates >= requested * (1.0 - 1e-9)
+    with obs.span("fairshare.allocate") as sp:
+        if sp:
+            sp.set(
+                fixed=len(fixed),
+                variable=len(variable),
+                independent=len(independent),
+                resources=int(present.sum()),
+                levels=len(PRICED),
+            )
+        for klass, stage in stages:
+            local_ids = stage.res_ids
+            # ``take``, not ``[:, ids]``: the kernel's row-wise passes want
+            # the C layout a fancy column index does not give.
+            local_remaining = remaining.take(local_ids, axis=1)
+            # Saturation thresholds are relative to this stage's
+            # entry-clamped limits — each stage sees capacities net of
+            # the earlier stages' allocations, as in the scalar
+            # fixed → variable → independent chain.
+            thresholds = _EPS * np.maximum(local_remaining, 1.0)
+            stage_rates, bottleneck, _ = _vectorized.fill(
+                stage, local_remaining, present_g[local_ids], thresholds
+            )
+            remaining[:, local_ids] = local_remaining
+            rates[klass] = stage_rates
+            median_bottleneck[klass] = bottleneck[median]
+            if klass == "fixed":
+                # A fixed demand's cap is its request.
+                median_satisfied = stage_rates[median] >= stage.caps * (1.0 - 1e-9)
 
     def answers(klass: str, flows: list[Flow]) -> list[FlowAnswer]:
         if not flows:
             return []
-        level_rates = [rates[(klass, level)] for level in LEVELS]
-        stack = np.stack(level_rates)
+        stack = rates[klass][: len(LEVELS)]
         if np.isnan(stack).any():  # pragma: no cover - NaN rates are exotic
             # Python sorted's NaN ordering differs from np.sort's; take
             # the scalar path's exact per-flow sort in that case.
-            quartile_rows = [
-                sorted(float(column[i]) for column in level_rates)
-                for i in range(len(flows))
-            ]
+            quartile_rows = [sorted(column) for column in stack.T.tolist()]
         else:
             # Columnwise ascending sort == per-flow sorted() for NaN-free
             # floats; .tolist() bulk-converts to Python floats, exactly
             # the values the scalar answer dicts carry.
             quartile_rows = np.sort(stack, axis=0).T.tolist()
-        mean_rates = rates[(klass, "mean")].tolist()
+        mean_rates = rates[klass][PRICED.index("mean")].tolist()
         bottleneck = median_bottleneck[klass].tolist()
         res_keys = stage_by_class[klass].res_keys
         klass_labels = labels[klass]

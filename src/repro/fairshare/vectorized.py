@@ -1,9 +1,9 @@
-"""Numpy water-filling kernels for :class:`~repro.fairshare.maxmin.MaxMinProblem`.
+"""Numpy water-filling kernel for :class:`~repro.fairshare.maxmin.MaxMinProblem`.
 
 The scalar filling loop in :mod:`repro.fairshare.maxmin` is pure-Python
 dict arithmetic: fine for a handful of flows, but the dominant cost of a
 256-host ``flow_info_batch`` sweep (hundreds of demands × six load levels
-× three stages).  This module re-expresses one filling step as a fixed
+× three stages).  :func:`fill` re-expresses one filling step as a fixed
 sequence of array operations —
 
 * per-resource active weight sums via ``np.bincount`` over a CSR-style
@@ -11,11 +11,20 @@ sequence of array operations —
 * the uniform increment ``theta`` as a masked min over
   ``remaining / weight_sum`` and capped-flow headroom,
 * rate/remaining updates and saturation detection as element-wise kernels
-  over only the unfrozen demands and still-pressured resources —
+  with frozen demands and unpressured resources masked to ``+0.0`` —
 
-while preserving the scalar path's answers **bit for bit**.  That holds
-because every float operation is performed by the same IEEE-754 rule in
-the same order the scalar loop uses:
+and runs that step for **every capacity level at once**.  A flow query is
+one demand set read at six availability levels (five quartiles and the
+mean) that differ only in the capacity row, and at 30–360 elements a numpy
+call costs its dispatch, not its arithmetic: so ``remaining`` and
+``thresholds`` carry a leading level axis, every array above gains that
+axis, and one loop — whose trip count is the slowest level's, not the sum —
+fills them all.  :func:`solve_arrays` (one capacity mapping, as
+``MaxMinProblem.solve`` takes) is the same kernel at one level.
+
+Answers match the scalar path **bit for bit**, level by level.  Every
+float operation is performed by the same IEEE-754 rule in the same order
+the scalar loop uses:
 
 * ``np.bincount`` accumulates ``out[id[i]] += w[i]`` sequentially in entry
   order, and the entry list is laid out in (demand order, position) order
@@ -31,11 +40,33 @@ the same order the scalar loop uses:
   sequence the scalar loop's deferred ``materialise`` replay performs;
 * multi-saturation bottleneck attribution orders resources by their first
   active incidence entry, which equals the scalar ``_pressure_rank``
-  (entry order **is** (demand order, position) lexicographic order).
+  (entry order **is** (demand, position) lexicographic order).
+
+The level axis adds nothing to any level's operation sequence:
+
+* entries are keyed ``level * R + resource`` (and ``level * n + demand``),
+  level-major, so a level's bins receive that level's entries only, in
+  entry order — one ``bincount`` is L independent sequential sums — and
+  attribution compares keys that carry their level, so levels never
+  compete for a demand;
+* a level that has finished has every weight masked: its pressure is
+  zero, nothing of it is live or capped, its ``theta`` is set to 0, and the
+  full-matrix updates add ``0 * (+0.0)`` to its rates and subtract it from
+  its residuals — the same bit-preserving no-op frozen demands already
+  rely on.  It idles, untouched, until the slowest level is done, and its
+  iteration count stops with it;
+* a running level whose ``theta`` is inf (only uncapped flows over
+  unconstrained resources left) is finished explicitly — rates to inf,
+  weights to zero — *before* the multiply, so ``inf * 0`` never forms; and
+  capped headroom is computed under its mask only (``caps - rates`` is
+  ``inf - inf`` for such a flow);
+* the clamp ``max(0.0, theta)`` is written ``where(theta > 0, theta, 0)``:
+  Python's semantics exactly (−0.0 and NaN both give +0.0), which
+  ``np.maximum`` does not promise for either operand order.
 
 The differential fuzz suite (``tests/fairshare/test_vectorized_maxmin.py``)
 asserts exact equality — rates, bottlenecks, residuals, iteration counts —
-against the scalar oracle on adversarial demand sets.
+against the scalar oracle on adversarial demand sets, one level and many.
 
 Enabling and disabling
 ----------------------
@@ -162,25 +193,22 @@ class DemandArrays:
     the same amortisation contract as the scalar crossing index.
 
     The incidence entry list pairs ``ent_dem[i]`` (demand index) with
-    ``ent_res[i]`` (interned resource id), laid out in (demand order,
-    position-within-tuple) order — one entry per occurrence, exactly
-    mirroring the scalar ``_crossing`` lists.
+    ``ent_local[i]`` (position of the resource's interned id in
+    ``res_ids``), laid out in (demand order, position-within-tuple) order
+    — one entry per occurrence, exactly mirroring the scalar ``_crossing``
+    lists.
     """
 
     __slots__ = (
         "n",
         "weights",
         "caps",
-        "init_active",
         "capped_mask",
         "ent_dem",
-        "ent_res",
         "res_ids",
         "res_keys",
         "ent_local",
-        "dem_indptr",
         "init_w_active",
-        "init_ent_weights",
         "n_init_active",
     )
 
@@ -228,161 +256,176 @@ class DemandArrays:
         self.n = n
         self.weights = weights
         self.caps = caps
-        self.init_active = caps > _RATE_FLOOR
-        self.capped_mask = self.init_active & (caps != np.inf)
+        init_active = caps > _RATE_FLOOR
+        self.capped_mask = init_active & (caps != np.inf)
 
         counts = np.fromiter((len(row) for row in rows), dtype=np.int64, count=n)
-        self.dem_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.dem_indptr[1:])
         self.ent_dem = np.repeat(np.arange(n, dtype=np.int64), counts)
-        self.ent_res = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        )
+        ent_res = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
         # Compress the referenced ids to a local 0..R-1 space; ``res_ids``
         # ascends, so ``res_keys`` is deterministic given the keyspace.
-        self.res_ids, self.ent_local = np.unique(self.ent_res, return_inverse=True)
+        self.res_ids, self.ent_local = np.unique(ent_res, return_inverse=True)
         keys = keyspace.keys
         self.res_keys = [keys[int(ident)] for ident in self.res_ids]
-        # Pre-masked initial state, copied (not rebuilt) by every fill.
-        self.init_w_active = np.where(self.init_active, weights, 0.0)
-        self.init_ent_weights = self.init_w_active[self.ent_dem]
-        self.n_init_active = int(np.count_nonzero(self.init_active))
+        # Pre-masked initial weights, copied (not rebuilt) by every fill.
+        self.init_w_active = np.where(init_active, weights, 0.0)
+        self.n_init_active = int(np.count_nonzero(init_active))
 
 
 def fill(arrays: DemandArrays, remaining, present, thresholds):
-    """One progressive-filling run over stage-local resource arrays.
+    """Progressive filling of every capacity level in one loop.
 
-    *remaining* (stage-local, drained **in place**), *present* (which
-    local resources are capacity-constrained) and *thresholds* (the
-    entry-clamped relative saturation cutoffs) index ``arrays.res_ids``
-    positionally.  Returns ``(rates, bottleneck, iterations)`` where
-    ``bottleneck[i]`` is the local resource index that froze demand *i*
-    (−1 = demand-limited).  Bit-identical to the scalar loop — see the
-    module docstring for the argument.
+    *remaining* ``(L, R)`` holds one stage-local capacity row per level
+    (drained **in place**), *thresholds* ``(L, R)`` the entry-clamped
+    relative saturation cutoffs, and *present* ``(R,)`` marks the local
+    resources that are capacity-constrained; columns index
+    ``arrays.res_ids`` positionally.  Returns ``(rates (L, n), bottleneck
+    (L, n), iterations (L,))`` where ``bottleneck[l, i]`` is the local
+    resource index that froze demand *i* at level *l* (−1 =
+    demand-limited).  Each level is bit-identical to the scalar loop run
+    on its row alone — see the module docstring for the argument.
     """
     from repro.fairshare.maxmin import _EPS
 
-    counters["vectorized_solves"] += 1
+    L = remaining.shape[0]
+    counters["vectorized_solves"] += L
     n = arrays.n
     R = len(arrays.res_ids)
-
-    rates = np.zeros(n, dtype=np.float64)
-    bottleneck = np.full(n, -1, dtype=np.int64)
-    active = arrays.init_active.copy()
-    capped_mask = arrays.capped_mask
-    ent_dem = arrays.ent_dem
-    ent_local = arrays.ent_local
     weights = arrays.weights
     caps = arrays.caps
-    dem_indptr = arrays.dem_indptr
-    iterations = 0
-    step_frozen = np.zeros(n, dtype=bool)
+    inf = np.inf
+    # ``count(mask)`` for ``mask.any()``: a third of the dispatch cost on
+    # arrays this small, and the loop asks four times a step.
+    count = np.count_nonzero
 
-    # Masked views maintained incrementally: when a demand freezes, its
-    # weight slot and incidence entries are zeroed once instead of
-    # rebuilding the full ``np.where`` mask every step.  Frozen slots
-    # contribute +0.0 either way, so the accumulation bits are identical.
-    w_active = arrays.init_w_active.copy()
-    ent_weights = arrays.init_ent_weights.copy()
-    n_active = arrays.n_init_active
+    rates = np.zeros((L, n), dtype=np.float64)
+    bottleneck = np.full((L, n), -1, dtype=np.int64)
+    iterations = np.zeros(L, dtype=np.int64)
+    step_frozen = np.zeros((L, n), dtype=bool)
+    flat_bottleneck = bottleneck.reshape(-1)
+    flat_frozen = step_frozen.reshape(-1)
 
-    while n_active:
-        iterations += 1
+    # Masked views maintained incrementally: a frozen demand's weight slot
+    # and incidence entries are zeroed, so they contribute +0.0 to every
+    # later sum, and ``> 0`` reads "still active" (weights are strictly
+    # positive).  One row per level; a level with no active demand left is
+    # all zeros and takes steps of ``theta = 0`` until the slowest is done.
+    w_active = np.empty((L, n), dtype=np.float64)
+    w_active[:] = arrays.init_w_active
+    flat_w_active = w_active.reshape(-1)
+    n_active = np.full(L, arrays.n_init_active, dtype=np.int64)
+
+    # Every incidence entry of every level, keyed ``level * R + resource``
+    # and ``level * n + demand``: level-major, entry order within a level.
+    level = np.arange(L, dtype=np.int64)
+    ent_res = np.add.outer(level * R, arrays.ent_local).reshape(-1)
+    ent_dem = np.add.outer(level * n, arrays.ent_dem).reshape(-1)
+    ent_weights = flat_w_active[ent_dem]
+    firsts = np.empty(L * R, dtype=np.int64)
+
+    capped = arrays.capped_mask if arrays.capped_mask.any() else None
+    cap_floor = caps * (1.0 - _EPS)
+    ratio = np.empty((L, R), dtype=np.float64)
+    headroom = np.empty((L, n), dtype=np.float64)
+
+    running = n_active > 0
+    while count(running):
+        iterations += running
 
         # Per-resource pressure: active crossers' weights summed in entry
-        # order (bincount accumulates sequentially; frozen entries add
-        # +0.0, which cannot perturb a running sum of positive weights).
-        wsum = np.bincount(ent_local, weights=ent_weights, minlength=R)
+        # order (bincount accumulates sequentially, a level's bins receive
+        # that level's entries only, and frozen entries add +0.0, which
+        # cannot perturb a running sum of positive weights).
+        wsum = np.bincount(ent_res, weights=ent_weights, minlength=L * R).reshape(L, R)
         live = present & (wsum > 0.0)
 
-        theta = float("inf")
-        if live.any():
-            theta = float((remaining[live] / wsum[live]).min())
-        capped_active = capped_mask & active
-        if capped_active.any():
-            headroom = (
-                (caps[capped_active] - rates[capped_active])
-                / weights[capped_active]
-            ).min()
-            theta = min(theta, float(headroom))
+        ratio.fill(inf)
+        np.divide(remaining, wsum, out=ratio, where=live)
+        theta = ratio.min(axis=1, initial=inf)
+        if capped is not None:
+            # Under the mask only: ``caps - rates`` is ``inf - inf`` for a
+            # finished uncapped flow.
+            capped_active = capped & (w_active > 0.0)
+            headroom.fill(inf)
+            np.subtract(caps, rates, out=headroom, where=capped_active)
+            np.divide(headroom, weights, out=headroom, where=capped_active)
+            theta = np.minimum(theta, headroom.min(axis=1, initial=inf))
 
-        if theta == float("inf"):
-            # Only uncapped flows over unconstrained resources remain.
-            rates[active] = np.inf
-            break
+        # ``theta`` reads inf for a level that has finished (nothing live,
+        # nothing capped: it idles on steps of 0 until the slowest is done)
+        # and for a running level with only uncapped flows over
+        # unconstrained resources left, which finishes here — before the
+        # multiply, so ``inf * 0`` never forms.
+        unbounded = theta == inf
+        theta[unbounded] = 0.0
+        done = unbounded & running
+        if count(done):
+            rates[(w_active > 0.0) & done[:, None]] = inf
+            w_active[done] = 0.0
+            n_active[done] = 0
+            running = n_active > 0
+            if not count(running):
+                break
+            live[done] = False
 
-        theta = max(0.0, theta)
+        # Python's ``max(0.0, theta)``, -0.0 and NaN included.
+        theta = np.where(theta > 0.0, theta, 0.0)[:, None]
 
-        # Eager rate update, full-vector: frozen demands add
+        # Eager rate update, full-matrix: frozen demands add
         # ``theta * +0.0`` to a rate that is never -0.0 — a bit-preserving
         # no-op — while active demands see the same multiply-add sequence
         # as the scalar loop (eager for capped, deferred-replay for
         # uncapped — the replay performs these exact operations).
         rates += theta * w_active
 
-        # Drain resources, full-vector: unpressured resources lose
+        # Drain resources, full-matrix: unpressured resources lose
         # ``x - theta*(+0.0) == x`` bitwise (subtracting +0.0 preserves
         # every float, including -0.0); resources outside ``present`` may
         # drift but are never read.  Saturation stays live-masked.
         remaining -= theta * wsum
-        sat = np.flatnonzero(live & (remaining <= thresholds))
-        if sat.size:
-            remaining[sat] = np.maximum(0.0, remaining[sat])
-            is_sat = np.zeros(R, dtype=bool)
-            is_sat[sat] = True
-            # Entries of still-active demands crossing a saturated
-            # resource (``ent_weights > 0`` identifies active entries:
-            # weights are strictly positive and frozen slots are zeroed).
-            hit_ent = np.flatnonzero((ent_weights > 0.0) & is_sat[ent_local])
+        sat = live & (remaining <= thresholds)
+        if count(sat):
+            np.maximum(0.0, remaining, out=remaining, where=sat)
+            # Entries of still-active demands crossing a saturated resource.
+            hit_ent = ((ent_weights > 0.0) & sat.reshape(-1)[ent_res]).nonzero()[0]
             sat_dem = ent_dem[hit_ent]
-            if sat.size == 1:
-                bottleneck[sat_dem] = sat[0]
-            else:
-                # Attribute each demand to the saturated resource whose
-                # first active incidence entry comes earliest == the
-                # scalar ``_pressure_rank`` order (entry order is
-                # (demand, position) lexicographic order); the demand's
-                # first-processed resource wins, exactly as the scalar
-                # loop's in-order freeze does.
-                sat_res = ent_local[hit_ent]
-                uniq_res, first_pos = np.unique(sat_res, return_index=True)
-                firsts = np.empty(R, dtype=np.int64)
-                firsts[uniq_res] = hit_ent[first_pos]
-                ranks = firsts[sat_res]
-                best = np.full(n, ent_dem.shape[0], dtype=np.int64)
-                np.minimum.at(best, sat_dem, ranks)
-                win = ranks == best[sat_dem]
-                bottleneck[sat_dem[win]] = sat_res[win]
-            step_frozen[sat_dem] = True
+            sat_res = ent_res[hit_ent]
+            # Attribute each demand to the saturated resource whose first
+            # active incidence entry comes earliest == the scalar
+            # ``_pressure_rank`` order (entry order is (demand, position)
+            # lexicographic order); the demand's first-processed resource
+            # wins, exactly as the scalar loop's in-order freeze does.
+            # Keys carry the level, so levels never compete.  A repeated
+            # index keeps its last assignment: ``hit_ent`` ascends, so
+            # assigning it in reverse leaves each resource its first entry,
+            # and assigning resources latest-rank-first leaves each demand
+            # its earliest.
+            firsts[sat_res[::-1]] = hit_ent[::-1]
+            order = firsts[sat_res].argsort()[::-1]
+            flat_bottleneck[sat_dem[order]] = sat_res[order] % R
+            flat_frozen[sat_dem] = True
 
         # Freeze flows that reached their cap (bottleneck stays None).
-        cap_ready = capped_active & ~step_frozen
-        if cap_ready.any():
-            hit = cap_ready & (rates >= caps * (1.0 - _EPS))
-            if hit.any():
-                rates[hit] = caps[hit]
-                step_frozen[hit] = True
+        if capped is not None:
+            hit = capped_active & ~step_frozen & (rates >= cap_floor)
+            if count(hit):
+                np.copyto(rates, caps, where=hit)
+                step_frozen |= hit
 
-        frozen_ids = np.flatnonzero(step_frozen)
-        if not frozen_ids.size:  # pragma: no cover - FP stagnation guard
+        frozen = step_frozen.sum(axis=1)
+        if count(running & (frozen == 0)):  # pragma: no cover - FP stagnation guard
             raise ConfigurationError(
                 "max-min allocation failed to make progress; "
                 "check for zero-capacity resources with active flows"
             )
 
-        n_active -= int(frozen_ids.size)
-        if not n_active:
-            break
-        active &= ~step_frozen
+        n_active -= frozen
+        running = n_active > 0
+        w_active[step_frozen] = 0.0
+        # One gather re-masks every level's entries (exact copies of the
+        # same ``w_active`` values the zeroed slots would hold).
+        ent_weights = flat_w_active[ent_dem]
         step_frozen[:] = False
-        w_active[frozen_ids] = 0.0
-        if frozen_ids.size > 8:
-            # Mass freeze: one gather beats per-demand slice zeroing
-            # (both produce exact copies of the same w_active values).
-            ent_weights = w_active[ent_dem]
-        else:
-            for d in frozen_ids:
-                ent_weights[dem_indptr[d] : dem_indptr[d + 1]] = 0.0
 
     return rates, bottleneck, iterations
 
@@ -412,13 +455,15 @@ def solve_arrays(arrays: DemandArrays, demands, capacities: Mapping):
     # Saturation thresholds are relative to the entry-clamped limits.
     thresholds = _EPS * np.maximum(remaining, 1.0)
 
-    rates, bottleneck, iterations = fill(arrays, remaining, present, thresholds)
+    # One level: the kernel's leading axis has length one.
+    rates, bottleneck, iterations = fill(
+        arrays, remaining[None], present, thresholds[None]
+    )
 
-    result = MaxMinResult(iterations=iterations)
+    result = MaxMinResult(iterations=int(iterations[0]))
     res_keys = arrays.res_keys
-    for i, demand in enumerate(demands):
-        result.rates[demand.flow_id] = float(rates[i])
-        r = bottleneck[i]
+    for demand, rate, r in zip(demands, rates[0].tolist(), bottleneck[0].tolist()):
+        result.rates[demand.flow_id] = rate
         result.bottlenecks[demand.flow_id] = None if r < 0 else res_keys[r]
     for j in np.flatnonzero(present):
         residual[res_keys[j]] = float(remaining[j])

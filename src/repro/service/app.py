@@ -33,6 +33,11 @@ Client garbage is answered **400** naming the offending field — a body or
 timeframe that is not a JSON object, a flow list that is not a list, a
 non-string ``src``/``dst``, a non-finite number — never 500.
 
+Every JSON body is RFC 8259 JSON: a figure with no finite value — the
+bandwidth of a flow between two tasks on one node, which crosses no
+resource — is ``null`` (**null = unbounded**, as ``/graph`` writes an
+unbounded ``internal_bandwidth``), never ``Infinity`` or ``NaN``.
+
 Endpoints
 ---------
 ``GET /healthz``
@@ -202,6 +207,17 @@ class Request:
         return self.headers.get(name.lower(), default)
 
 
+def _finite(value):
+    """*value* with every non-finite float replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 @dataclass
 class Response:
     """One response for the transports to serialise."""
@@ -228,9 +244,15 @@ class Response:
         # Compact on the wire: any ``indent`` forces the pure-Python
         # encoder (~2x the time) and pads the body by ~40%.  Humans read
         # these through the CLI, which indents its own output.
-        return cls.text(
-            status, json.dumps(data, separators=(",", ":")), "application/json"
-        )
+        try:
+            body = json.dumps(data, separators=(",", ":"), allow_nan=False)
+        except ValueError:
+            # ``Infinity``/``NaN`` are not JSON (RFC 8259) and strict
+            # parsers refuse the whole body.  Only then pay for a copy:
+            # an unbounded figure (a flow between two tasks on one node
+            # crosses no resource) goes out as ``null``, as in /graph.
+            body = json.dumps(_finite(data), separators=(",", ":"), allow_nan=False)
+        return cls.text(status, body, "application/json")
 
     @classmethod
     def error(cls, status: int, error: BaseException) -> "Response":

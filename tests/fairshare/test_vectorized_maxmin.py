@@ -22,9 +22,14 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fairshare import Demand, MaxMinProblem
 from repro.fairshare import vectorized
+from repro.fairshare.maxmin import _EPS
+
+if vectorized.HAVE_NUMPY:
+    import numpy as np
 
 pytestmark = pytest.mark.skipif(
     not vectorized.HAVE_NUMPY, reason="numpy not installed; no vectorized kernel"
@@ -100,6 +105,125 @@ def test_differential_fuzz_bit_identical():
     rng = random.Random(20260808)
     for _ in range(500):
         check_identical(*random_problem(rng))
+
+
+def fill_levels(demands, keys, rows):
+    """One :func:`vectorized.fill` over capacity *rows* (each aligned with
+    *keys*), read back per level in ``MaxMinResult`` terms."""
+    arrays = vectorized.DemandArrays(demands)
+    column = {key: j for j, key in enumerate(arrays.res_keys)}
+    crossed = [(k, column[key]) for k, key in enumerate(keys) if key in column]
+    remaining = np.zeros((len(rows), len(arrays.res_keys)))
+    present = np.zeros(len(arrays.res_keys), dtype=bool)
+    for k, j in crossed:
+        present[j] = True
+        remaining[:, j] = [max(0.0, float(row[k])) for row in rows]
+    thresholds = _EPS * np.maximum(remaining, 1.0)
+    rates, bottleneck, iterations = vectorized.fill(
+        arrays, remaining, present, thresholds
+    )
+    assert rates.shape == bottleneck.shape == (len(rows), len(demands))
+    levels = []
+    for level in range(len(rows)):
+        levels.append(
+            (
+                {d.flow_id: float(rates[level, i]) for i, d in enumerate(demands)},
+                {
+                    d.flow_id: None if r < 0 else arrays.res_keys[r]
+                    for d, r in zip(demands, bottleneck[level].tolist())
+                },
+                {keys[k]: float(remaining[level, j]) for k, j in crossed},
+                int(iterations[level]),
+            )
+        )
+    return levels
+
+
+def check_levels_identical(demands, keys, rows) -> None:
+    """Every level of one kernel run == the scalar solve of that row alone."""
+    problem = MaxMinProblem(demands)
+    for level, (rates, bottlenecks, residual, iterations) in enumerate(
+        fill_levels(demands, keys, rows)
+    ):
+        scalar = problem.solve_scalar(dict(zip(keys, rows[level])))
+        assert_same_floats(dict(scalar.rates), rates, f"rates@{level}")
+        assert scalar.bottlenecks == bottlenecks, f"bottlenecks@{level}"
+        assert_same_floats(
+            {key: scalar.residual_capacity[key] for key in residual},
+            residual,
+            f"residual@{level}",
+        )
+        assert scalar.iterations == iterations, f"iterations@{level}"
+
+
+def random_rows(rng: random.Random, capacities: dict, count: int) -> list[list[float]]:
+    """*count* capacity rows over one key set, degenerate rows included."""
+    base = list(capacities.values())
+    rows = []
+    for _ in range(count):
+        kind = rng.randrange(6)
+        if kind == 0:
+            rows.append(list(base))  # the problem's own row (often repeated)
+        elif kind == 1:
+            rows.append([0.0] * len(base))
+        elif kind == 2:
+            rows.append([1e12] * len(base))  # caps, not links, bind
+        elif kind == 3:
+            rows.append([math.inf] * len(base))  # nothing binds an uncapped flow
+        elif kind == 4 and rows:
+            rows.append(list(rng.choice(rows)))  # an exact duplicate
+        else:
+            rows.append(
+                [rng.choice([rng.uniform(0.0, 100.0), 0.0, cap]) for cap in base]
+            )
+    return rows
+
+
+def test_level_axis_differential_fuzz_bit_identical():
+    rng = random.Random(20261003)
+    for _ in range(400):
+        demands, capacities = random_problem(rng)
+        rows = random_rows(rng, capacities, rng.randint(1, 6))
+        check_levels_identical(demands, list(capacities), rows)
+
+
+@st.composite
+def two_row_problems(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    demands, capacities = random_problem(rng)
+    return demands, list(capacities), random_rows(rng, capacities, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_row_problems())
+def test_levels_never_touch_each_other(problem):
+    """Rows solved together == rows solved apart, in whichever order: a
+    level that finishes early idles beside one still filling."""
+    demands, keys, (a, b) = problem
+    together = fill_levels(demands, keys, [a, b])
+    assert fill_levels(demands, keys, [b, a]) == together[::-1]
+    apart = fill_levels(demands, keys, [a]) + fill_levels(demands, keys, [b])
+    for (rates, *rest), (rates_apart, *rest_apart) in zip(together, apart):
+        assert_same_floats(rates, rates_apart, "rates")
+        assert rest == rest_apart
+
+
+def test_two_saturate_in_one_level_while_one_saturates_in_another():
+    # Step one, theta = 5 in both levels: level 0 saturates r1 *and* r0
+    # (contested: r1 ranks first, through a's first crossing, and takes
+    # a), level 1 only r0 (no contest: r0 takes both).  c fills on.
+    demands = [
+        Demand(flow_id="a", resources=("r1", "r0")),
+        Demand(flow_id="b", resources=("r0",)),
+        Demand(flow_id="c", resources=("r2",)),
+    ]
+    keys = ["r0", "r1", "r2"]
+    rows = [[10.0, 5.0, 100.0], [10.0, 20.0, 100.0]]
+    check_levels_identical(demands, keys, rows)
+    (_, contested, _, steps), (_, single, _, _) = fill_levels(demands, keys, rows)
+    assert contested == {"a": "r1", "b": "r0", "c": "r2"}
+    assert single == {"a": "r0", "b": "r0", "c": "r2"}
+    assert steps == 2
 
 
 def test_single_demand_shapes():

@@ -19,6 +19,7 @@ import pytest
 
 from repro import obs
 from repro.core import Flow, Timeframe
+from repro.core.snaparrays import vectorizable
 from repro.testbed import build_cmu_testbed
 
 HOSTS = ["m-1", "m-4", "m-6", "m-8"]
@@ -65,7 +66,9 @@ def count_hooks_per_query() -> int:
         remos.flow_info(variable_flows=flows, timeframe=timeframe)
         spans = tracer.spans_finished - spans_before
         samples = query_times.count - samples_before
-        assert spans >= 7  # query root + 6 allocations
+        # Query root + its allocations: the array path (these 12 flows)
+        # solves all six levels under one span, the scalar plan one each.
+        assert spans == 1 + (1 if vectorizable([], flows, []) else 6)
         return spans + samples
     finally:
         obs.reset_observability()

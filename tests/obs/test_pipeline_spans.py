@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core import Flow, Timeframe, remos_flow_info
+from repro.core.snaparrays import vectorizable
 from repro.testbed import build_cmu_testbed
 
 HOSTS = ["m-1", "m-4", "m-6"]
@@ -23,16 +24,22 @@ def remos():
     return world.start_monitoring(warmup=WARMUP)
 
 
-def query(remos):
+def query(remos, hosts=HOSTS):
     flows = [
         Flow(src, dst, name=f"{src}->{dst}")
-        for src in HOSTS
-        for dst in HOSTS
+        for src in hosts
+        for dst in hosts
         if src != dst
     ]
     return remos_flow_info(
         remos, variable_flows=flows, timeframe=Timeframe.history(WARMUP)
     )
+
+
+def on_array_path(n_flows: int) -> bool:
+    """Would a query of *n_flows* unicast flows take the array evaluator?
+    It allocates all six levels under one span; the scalar plan one each."""
+    return vectorizable([], [Flow("m-1", "m-4")] * n_flows, [])
 
 
 class TestFlowInfoSpanTree:
@@ -46,7 +53,7 @@ class TestFlowInfoSpanTree:
         # inside the query — then one fair-share allocation per
         # availability quantile (5 quartiles + mean).
         assert child_names.count("routing.build") >= 1
-        assert child_names.count("fairshare.allocate") == 6
+        assert child_names.count("fairshare.allocate") == (1 if on_array_path(6) else 6)
 
     def test_warm_query_span_tree_and_attributes(self, remos):
         query(remos)
@@ -56,7 +63,7 @@ class TestFlowInfoSpanTree:
         trace = obs.get_tracer().last_trace("query.flow_info")
         assert [child.name for child in trace.children()] == [
             "fairshare.allocate"
-        ] * 6
+        ] * (1 if on_array_path(6) else 6)
         assert trace.attributes["flow_count"] == 6
         assert trace.attributes["variable"] == 6
         assert trace.attributes["generation"] >= 1
@@ -67,6 +74,23 @@ class TestFlowInfoSpanTree:
             assert child.trace_id == trace.trace_id
             assert child.attributes["resources"] > 0
         assert trace.duration > 0
+
+    def test_warm_array_path_query_allocates_under_one_span(self, remos):
+        hosts = [*HOSTS, "m-8"]  # 12 flows: the array evaluator's side
+        if not on_array_path(12):
+            pytest.skip("array kernel off (no numpy or REPRO_VECTORIZE=0)")
+        query(remos, hosts)
+        result = query(remos, hosts)
+        assert len(result.variable) == 12
+
+        trace = obs.get_tracer().last_trace("query.flow_info")
+        (child,) = trace.children()
+        assert child.name == "fairshare.allocate"
+        assert child.trace_id == trace.trace_id
+        assert child.attributes["levels"] == 6
+        assert child.attributes["variable"] == 12
+        assert child.attributes["resources"] > 0
+        assert trace.attributes["cache_misses"] == 0
 
     def test_collector_sweeps_are_detached_root_traces(self, remos):
         query(remos)

@@ -45,6 +45,8 @@ def check(status, headers, body, expected) -> None:
     assert int(headers["Content-Length"]) == len(body)
     assert b"\n" not in body and b": " not in body  # compact separators
     assert json.loads(body) == wire_form(expected)
+    # Finite answers go out as one plain compact dump, byte for byte.
+    assert body == json.dumps(expected.to_dict(), separators=(",", ":")).encode()
 
 
 def test_flow_info_body(parked):
@@ -60,6 +62,39 @@ def test_flow_info_body(parked):
         timeframe=Timeframe.history(10.0),
     )
     check(*exchange(address, "POST", "/flow_info", request), expected)
+
+
+def strict_loads(body: bytes):
+    """``json.loads`` as RFC 8259 parsers behave: Infinity/NaN are errors."""
+
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    return json.loads(body, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "flows",
+    [[("m-3", "m-3")], [("m-1", "m-4"), ("m-3", "m-3")]],
+    ids=["alone", "beside-routed"],
+)
+def test_same_host_flow_answers_json_with_null_for_unbounded(parked, flows):
+    """Two tasks on one node cross no resource: the allocation is
+    unbounded, and the body must still be JSON (``null``, not Infinity)."""
+    service, address = parked
+    request = json.dumps({"variable": [{"src": a, "dst": b} for a, b in flows]})
+    status, _, body = exchange(address, "POST", "/flow_info", request.encode())
+    assert status == 200
+    assert b"Infinity" not in body and b"NaN" not in body
+    answers = strict_loads(body)["variable"]
+    expected = service.remos.flow_info(variable_flows=[Flow(a, b) for a, b in flows])
+    for (src, dst), answer, exact in zip(flows, answers, wire_form(expected)["variable"]):
+        if src == dst:
+            assert answer["bandwidth"]["min"] is None
+            assert answer["bandwidth"]["median"] is None
+            assert answer["bottleneck"] is None
+        else:
+            assert answer == exact  # the routed flow's figures are untouched
 
 
 def test_graph_body(parked):
