@@ -2,19 +2,25 @@
 
 The front door (``repro serve``): a single-threaded
 ``asyncio.start_server`` event loop multiplexes every connection —
-keep-alive HTTP/1.1, no thread or stack per idle socket — and hands each
-parsed request to the application layer
-(:func:`repro.service.app.handle_request`) on a thread-pool executor.
-Because one request is handled start-to-finish on one executor thread,
-the thread-local :class:`~repro.obs.context.TraceContext` binding, the
-SLO settlement and the slow-query forensics need no loop awareness.
+keep-alive HTTP/1.1, no thread or stack per idle socket — and answers
+each parsed request itself: :func:`repro.service.app.handle_request` is
+called on the loop thread, between the awaited parse and the awaited
+write.  The handler is synchronous start to finish, so the thread-local
+:class:`~repro.obs.context.TraceContext` binding, the SLO settlement and
+the slow-query forensics need no loop awareness.
 
-Why not a thread per connection: under the GIL the service evaluates one
-flow query at a time anyway (see ``docs/CONCURRENCY.md``), so the front
-end's job is to *admit* many sockets cheaply and keep the executor fed —
-exactly what an event loop does.  The ``--workers N`` multi-process mode
-(:mod:`repro.service.workers`) stacks N of these servers on one shared
-listening socket.
+Why no thread per request: under the GIL a second thread buys a handler
+no parallelism, only interpreter hand-offs (5.7 voluntary context
+switches per small request, 0.07 without — ``docs/PERFORMANCE.md`` §10).
+A slow-drip or slow-reading client still cannot hold the loop, because
+parse and write are awaited; a handler's own CPU time can, and while it
+runs the process answers nobody, ``/healthz`` included
+(``docs/CONCURRENCY.md`` §6).  One request is the exception, chosen by
+its path (:func:`repro.service.app.sleeps`, the router's own parse):
+``/debug/profile`` sleeps by design and has to sample a loop that is
+still serving, so it alone runs on the loop's default executor.
+The ``--workers N`` multi-process mode (:mod:`repro.service.workers`)
+stacks N of these servers on one shared listening socket.
 
 Two entry points:
 
@@ -32,7 +38,7 @@ import socket
 import threading
 
 from repro import obs
-from repro.service.app import Request, Response, handle_request
+from repro.service.app import Request, Response, handle_request, sleeps
 
 _log = obs.get_logger("repro.service.aio")
 
@@ -41,6 +47,10 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: Per-header-line cap (asyncio's readline raises beyond its limit).
 MAX_HEADER_BYTES = 64 * 1024
+
+#: How long ``close()`` waits for open connections to end (a client that
+#: never reads its answer keeps its transport, and so its task, alive).
+CLOSE_GRACE_S = 1.0
 
 
 class AsyncHTTPServer:
@@ -58,6 +68,7 @@ class AsyncHTTPServer:
         self._port = port
         self._sock = sock
         self._server: asyncio.AbstractServer | None = None
+        self._open: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def start(self) -> "AsyncHTTPServer":
         if self._sock is not None:
@@ -76,41 +87,53 @@ class AsyncHTTPServer:
         return self._server.sockets[0].getsockname()[:2]
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server, self._server = self._server, None
+        if server is None:
+            return
+        server.close()  # stops accepting; the open connections are ours to end
+        # End each rather than leave its task to be cancelled with the loop:
+        # a _client parked in readline sees EOF and leaves through its own
+        # finally, where a cancelled one dies with a traceback from its
+        # stream's done-callback.
+        for writer in self._open.values():
+            writer.close()
+        if self._open:
+            await asyncio.wait(list(self._open), timeout=CLOSE_GRACE_S)
+        await server.wait_closed()
 
     # -- connection handling ----------------------------------------------------
 
     async def _client(self, reader, writer) -> None:
         peer = writer.get_extra_info("peername")
         client = peer[0] if peer else ""
-        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        self._open[task] = writer
         try:
             while True:
                 try:
-                    request = await self._read_request(reader, client)
+                    parsed = await self._read_request(reader, writer, client)
                 except _Refused as error:
                     refusal = Response.json(error.status, {"error": str(error)})
                     await self._write_response(writer, refusal, True)
                     break
-                if request is None:
+                if parsed is None:
                     break
-                # The app layer blocks (service queries, profile sleeps):
-                # run it on the default executor so the loop keeps
-                # admitting other connections.  Thread-local trace binding
-                # happens inside handle_request, on the executor thread.
-                response = await loop.run_in_executor(
-                    None, handle_request, self._service, request
-                )
-                close = (request.header("connection") or "").lower() == "close"
+                request, close = parsed
+                if sleeps(request):
+                    # Samples a loop that has to keep serving meanwhile:
+                    # the one request with a thread.
+                    response = await asyncio.get_running_loop().run_in_executor(
+                        None, handle_request, self._service, request
+                    )
+                else:
+                    response = handle_request(self._service, request)
                 await self._write_response(writer, response, close)
                 if close:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
+            del self._open[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -118,15 +141,20 @@ class AsyncHTTPServer:
                 pass
 
     @staticmethod
-    async def _read_request(reader, client: str) -> Request | None:
-        """Parse one request off the wire; None on clean connection end."""
+    async def _read_request(reader, writer, client: str) -> tuple[Request, bool] | None:
+        """Parse one request off the wire; None on clean connection end.
+
+        Returns the request and whether the connection closes after its
+        answer.  *writer* is for the one thing a parse may say before the
+        answer: ``100 Continue``.
+        """
         line = await _read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise _Refused(400, f"malformed request line: {line!r}")
-        method, target, _version = parts
+        method, target, version = parts
         headers: dict[str, str] = {}
         while True:
             line = await _read_line(reader)
@@ -148,10 +176,23 @@ class AsyncHTTPServer:
             raise _Refused(400, f"bad Content-Length: {length_raw!r}") from None
         if not 0 <= length <= MAX_BODY_BYTES:
             raise _Refused(400, f"Content-Length out of range: {length}")
+        old = version == "HTTP/1.0"
+        connection = headers.get("connection", "").lower()
+        # 1.0 closes after the answer unless the client asked otherwise.
+        close = connection == "close" or (old and connection != "keep-alive")
+        expect = headers.get("expect")
+        if expect is not None and not old:  # RFC 7231 §5.1.1: 1.0 ignores it
+            if expect.lower() != "100-continue":
+                raise _Refused(417, f"unsupported Expect: {expect!r}")
+            if length:
+                # The client is holding the body back until told to send it.
+                writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                await writer.drain()
         body = await reader.readexactly(length) if length else b""
-        return Request(
+        request = Request(
             method=method, target=target, headers=headers, body=body, client=client
         )
+        return request, close
 
     @staticmethod
     async def _write_response(writer, response: Response, close: bool) -> None:

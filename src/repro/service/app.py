@@ -17,9 +17,10 @@ observability contract from ``docs/OBSERVABILITY.md``:
   freshness SLO is blown.
 
 Handlers are synchronous (the service's query methods are thread-safe
-blocking calls); the asyncio front end runs them in a thread-pool
-executor, which is also what makes the thread-local context binding
-correct there — one request handled start-to-finish on one thread.
+blocking calls) and never yield, so one request is handled start to
+finish on one thread whoever calls: that is what makes the thread-local
+context binding correct.  The asyncio front end calls them on its loop
+thread — ``/debug/profile`` alone on a second thread, because it sleeps.
 
 The query endpoints are also the enforcement point for **predictive
 admission control** (:mod:`repro.service.admission`): when the service's
@@ -257,6 +258,16 @@ class Response:
     @classmethod
     def error(cls, status: int, error: BaseException) -> "Response":
         return cls.json(status, {"error": f"{type(error).__name__}: {error}"})
+
+
+def sleeps(request: Request) -> bool:
+    """Whether :func:`handle_request` will sleep on *request* by design.
+
+    True for ``GET /debug/profile`` alone, by the parse the router uses
+    (absolute-form, ``;params`` and ``#fragment`` targets route there
+    too).  A transport that answers on its event loop asks this first.
+    """
+    return request.method == "GET" and urlparse(request.target).path == "/debug/profile"
 
 
 def handle_request(service, request: Request) -> Response:

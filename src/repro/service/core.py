@@ -457,7 +457,9 @@ class SweepingService(QueryFrontEnd):
         The simulation engine the sweeper advances.  Only the sweeper
         thread may run it.
     sweep_interval:
-        Wall-clock seconds between sweeper iterations.
+        Wall-clock seconds from one sweep's start to the next (> 0); a
+        sweep that takes longer is followed by at least this much idle
+        time, then the next start on the grid.
     sim_step:
         Simulated seconds advanced per sweeper iteration.
     """
@@ -471,6 +473,8 @@ class SweepingService(QueryFrontEnd):
         **front_end,
     ):
         super().__init__(source, **front_end)
+        if not sweep_interval > 0:
+            raise ConfigurationError(f"sweep_interval must be > 0, got {sweep_interval!r}")
         self._env = env
         self._sweep_interval = sweep_interval
         self._sim_step = sim_step
@@ -529,8 +533,18 @@ class SweepingService(QueryFrontEnd):
         return False
 
     def _sweep_loop(self) -> None:
-        """The single writer: advance, merge, publish, repeat."""
-        while not self._stop_event.wait(self._sweep_interval):
+        """The single writer: advance, merge, publish, repeat.
+
+        Sweeps start on a grid of ``sweep_interval`` — the wait before one
+        is what is left of its slot, not a whole interval on top of the
+        sweep's own wall time.  A sweep that overruns its slot is followed
+        by at least a whole idle interval: a sweeper that cannot keep up
+        leaves readers the share of the interpreter it always did, and
+        never runs back to back.
+        """
+        interval = self._sweep_interval
+        due = time.perf_counter() + interval
+        while not self._stop_event.wait(max(0.0, due - time.perf_counter())):
             started = time.perf_counter()
             try:
                 self._env.run(until=self._env.now + self._sim_step)
@@ -557,6 +571,10 @@ class SweepingService(QueryFrontEnd):
                     elapsed,
                     help="Wall-clock seconds per sweeper iteration",
                 )
+            # The next slot -- after an overrun, the first one a whole interval
+            # past the sweep's end.
+            behind = time.perf_counter() - due
+            due += interval * (1 if behind < interval else int(behind / interval) + 2)
 
 
 class RemosService(SweepingService):

@@ -167,6 +167,68 @@ class TestAsyncFrontEnd:
         assert reply.startswith(b"HTTP/1.1 501") and b"Connection: close" in reply
         assert reply.count(b"HTTP/1.1 ") == 1 and not unhandled
 
+    def test_http_1_0_is_answered_and_closed(self, live, unhandled):
+        _, server, _ = live
+        # raw_exchange reads to EOF, as an HTTP/1.0 client does: it returns
+        # only because the server closes.
+        reply = raw_exchange(server, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 200") and b"Connection: close" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1 and not unhandled
+
+    def test_http_1_0_keep_alive_is_honoured(self, live, unhandled):
+        _, server, _ = live
+        ask = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        reply = raw_exchange(
+            server, ask + b"GET /healthz HTTP/1.0\r\n\r\n"
+        )
+        assert reply.count(b"HTTP/1.1 200") == 2
+        assert reply.count(b"Connection: keep-alive") == 1 and not unhandled
+
+    def test_expect_100_continue_is_told_to_send_the_body(self, live, unhandled):
+        _, server, _ = live
+        body = json.dumps({"variable": [FLOW]}).encode()
+        with socket.create_connection(server.address, timeout=10) as sock:
+            started = time.perf_counter()
+            sock.sendall(
+                b"POST /flow_info HTTP/1.1\r\nExpect: 100-continue\r\n"
+                b"Connection: close\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            # As curl does: hold the body back until the server asks for it.
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        reply = b"".join(chunks)
+        # curl gives up waiting for the 100 after 1 s and sends anyway: that
+        # second is what a server that ignores Expect costs it.
+        assert time.perf_counter() - started < 0.5
+        assert reply.startswith(b"HTTP/1.1 200")
+        assert json.loads(reply.partition(b"\r\n\r\n")[2])["variable"]
+        assert reply.count(b"HTTP/1.1 ") == 1 and not unhandled
+
+    def test_http_1_0_expectations_are_ignored(self, live, unhandled):
+        _, server, _ = live
+        body = json.dumps({"variable": [FLOW]}).encode()
+        reply = raw_exchange(
+            server,
+            b"POST /flow_info HTTP/1.0\r\nExpect: the-moon\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            + body,
+        )
+        assert reply.startswith(b"HTTP/1.1 200") and b"Connection: close" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1 and not unhandled
+
+    def test_any_other_expectation_answers_one_417(self, live, unhandled):
+        _, server, _ = live
+        reply = raw_exchange(
+            server,
+            b"POST /flow_info HTTP/1.1\r\nExpect: the-moon\r\nContent-Length: 2\r\n\r\n{}",
+        )
+        assert reply.startswith(b"HTTP/1.1 417") and b"Connection: close" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1 and not unhandled
+
     def test_metrics_exposes_vectorized_gauge(self, live):
         _, _, base = live
         status, body, _ = fetch(base + "/metrics")
@@ -185,6 +247,29 @@ class TestAsyncFrontEnd:
         assert status == 200
         records = json.loads(body)["records"]
         assert any(r["endpoint"] == "flow_info" for r in records)
+
+
+class TestShutdown:
+    def test_stop_with_an_idle_connection_is_silent(self, capfd, caplog):
+        obs.configure_observability(metrics=True, tracing=True, logging=False)
+        world = build_cmu_testbed(poll_interval=0.5)
+        service = RemosService.from_world(world, sweep_interval=0.05)
+        service.start(warmup=2.0)
+        server = serve_aio(service, port=0)
+        try:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+                started = time.perf_counter()
+                server.stop()  # the connection is still open, parked in readline
+                assert time.perf_counter() - started < 1.0
+                assert sock.recv(65536) == b""  # closed by the server, cleanly
+        finally:
+            server.stop()
+            service.stop()
+        # asyncio reports a callback that raised through its logger (which
+        # pytest captures) or, with no handler, straight to stderr.
+        assert "Exception in callback" not in caplog.text + capfd.readouterr().err
 
 
 FLOW = {"src": "m-1", "dst": "m-4"}

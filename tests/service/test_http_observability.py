@@ -6,8 +6,10 @@ and health-flip acceptance criteria from docs/OBSERVABILITY.md are
 asserted here against the wire format, not internals.
 """
 
+import http.client
 import io
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -18,7 +20,7 @@ import pytest
 from repro import obs
 from repro.core import Flow
 from repro.obs.promparse import parse as prom_parse
-from repro.service import RemosService, serve_aio
+from repro.service import RemosService, app, serve_aio
 from repro.testbed import build_cmu_testbed
 
 TRACEPARENT = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
@@ -206,49 +208,207 @@ class TestSlowQueryForensics:
         assert len(doc["records"]) <= 2
 
 
+@pytest.fixture
+def held(live, monkeypatch):
+    """``(entered, gate)``: the first flow evaluation parks until *gate* is set."""
+    _, service, _ = live
+    entered, gate = threading.Event(), threading.Event()
+    real_batch = service.remos.flow_info_batch
+
+    def held_batch(queries, timeframe):
+        if not entered.is_set():
+            entered.set()
+            assert gate.wait(timeout=30), "first request was never released"
+        return real_batch(queries, timeframe)
+
+    monkeypatch.setattr(service.remos, "flow_info_batch", held_batch)
+    yield entered, gate
+    gate.set()
+
+
+def _marker(i: int) -> str:
+    return f"{0xC0FFEE00 + i:032x}"
+
+
+def _turn_wait(service, marker: str) -> float:
+    record = next(r for r in service.slowlog.records() if r["trace_id"] == marker)
+    return record["span_tree"]["attributes"]["turn_wait"]
+
+
+def _start_all(targets) -> list[threading.Thread]:
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def _join_all(threads) -> None:
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def _wait_for_profile_to_start() -> None:
+    deadline = time.perf_counter() + 10
+    while not app._profile_lock.locked():
+        assert time.perf_counter() < deadline, "no profile started"
+        time.sleep(0.005)
+
+
 class TestTurnWait:
-    def test_a_request_made_to_wait_records_turn_wait(self, live, monkeypatch):
-        base, service, _ = live
-        # Hold the first request inside its evaluation (so inside its turn)
-        # while a second one arrives: the second's span must say how long
+    """``turn_wait`` is the wait of an in-process caller behind another."""
+
+    def test_a_request_made_to_wait_records_turn_wait(self, live, held):
+        _, service, _ = live
+        entered, gate = held
+        # Hold the first call inside its evaluation (so inside its turn)
+        # while a second thread calls: the second's span must say how long
         # it stood in line.
-        entered, gate = threading.Event(), threading.Event()
-        real_batch = service.remos.flow_info_batch
-
-        def held_batch(queries, timeframe):
-            if not entered.is_set():
-                entered.set()
-                assert gate.wait(timeout=30), "first request was never released"
-            return real_batch(queries, timeframe)
-
-        monkeypatch.setattr(service.remos, "flow_info_batch", held_batch)
-        markers = [f"{0xC0FFEE00 + i:032x}" for i in range(2)]
-        results = []
+        markers = [_marker(0), _marker(1)]
 
         def query(marker):
+            with obs.bind_context(obs.TraceContext(marker, "00f067aa0ba902b7")):
+                service.flow_info(variable_flows=[Flow(src="m-1", dst="m-8")])
+
+        first = _start_all([lambda: query(markers[0])])
+        assert entered.wait(timeout=30), "no call reached flow_info_batch"
+        second = _start_all([lambda: query(markers[1])])
+        time.sleep(0.3)  # the second call is parked on the turn meanwhile
+        gate.set()
+        _join_all(first + second)
+        assert _turn_wait(service, markers[1]) > 0.1
+        assert _turn_wait(service, markers[0]) < 0.1
+
+
+class TestLoopThreadDoor:
+    """Over HTTP the loop thread answers the request it just parsed.
+
+    While a handler runs the process answers nobody: a second connection's
+    request waits in its socket buffer, not at the turn, and is answered
+    next — late, never refused.
+    """
+
+    FLOWS = {"variable": [{"src": "m-1", "dst": "m-8"}]}
+
+    def test_a_second_connection_waits_in_its_socket_not_at_the_turn(self, live, held):
+        base, service, _ = live
+        entered, gate = held
+        markers = [_marker(2), _marker(3)]
+        answered = {}
+
+        def query(marker):
+            started = time.perf_counter()
             status, _, _ = _post(
                 base + "/flow_info",
-                {"variable": [{"src": "m-1", "dst": "m-8"}]},
+                self.FLOWS,
                 {"traceparent": f"00-{marker}-00f067aa0ba902b7-01"},
             )
-            results.append(status)
+            answered[marker] = (status, time.perf_counter() - started)
 
-        threads = [threading.Thread(target=query, args=(m,)) for m in markers]
-        threads[0].start()
+        first = _start_all([lambda: query(markers[0])])
         assert entered.wait(timeout=30), "no request reached flow_info_batch"
-        threads[1].start()
-        time.sleep(0.3)  # the second request is parked on the turn meanwhile
+        second = _start_all([lambda: query(markers[1])])
+        time.sleep(0.3)
         gate.set()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [200] * 2
-        first, second = (
-            next(r for r in service.slowlog.records() if r["trace_id"] == marker)
-            for marker in markers
+        _join_all(first + second)
+        (status_a, _), (status_b, latency_b) = (answered[marker] for marker in markers)
+        assert (status_a, status_b) == (200, 200) and latency_b >= 0.25
+        settled = [r["trace_id"] for r in service.slowlog.records()]  # newest first
+        assert settled.index(markers[1]) < settled.index(markers[0])
+        assert _turn_wait(service, markers[1]) < 0.001
+
+    def test_healthz_behind_a_held_handler_answers_200_after_it(self, live, held):
+        base, _, _ = live
+        entered, gate = held
+        outcome = []
+
+        def health():
+            started = time.perf_counter()
+            outcome.append((_get(base + "/healthz")[0], time.perf_counter() - started))
+
+        query = _start_all([lambda: _post(base + "/flow_info", self.FLOWS)])
+        assert entered.wait(timeout=30), "no request reached flow_info_batch"
+        probe = _start_all([health])
+        time.sleep(0.3)
+        assert not outcome, "/healthz was answered while the loop thread was held"
+        gate.set()
+        _join_all(query + probe)
+        status, latency = outcome[0]
+        assert status == 200 and latency >= 0.25
+
+    def test_a_profile_does_not_hold_the_loop(self, live, monkeypatch):
+        base, service, _ = live
+        real_batch = service.remos.flow_info_batch
+
+        def slow_batch(queries, timeframe):
+            time.sleep(0.05)  # long enough for the 10 ms sampler to see it
+            return real_batch(queries, timeframe)
+
+        monkeypatch.setattr(service.remos, "flow_info_batch", slow_batch)
+        profile = []
+        profiling = _start_all(
+            [lambda: profile.append(_get(base + "/debug/profile?seconds=1"))]
         )
-        assert second["span_tree"]["attributes"]["turn_wait"] > 0.1
-        assert first["span_tree"]["attributes"]["turn_wait"] < 0.1
+        _wait_for_profile_to_start()
+        started = time.perf_counter()
+        assert _get(base + "/healthz")[0] == 200
+        assert time.perf_counter() - started < 0.5  # on the loop: the whole second
+        assert _post(base + "/flow_info", self.FLOWS)[0] == 200
+        _join_all(profiling)
+        status, _, stacks = profile[0]
+        assert status == 200
+        # The query issued during the profile was served by the loop thread.
+        assert any(
+            line.startswith("remos-aio;") and "service/core.py:flow_info" in line
+            for line in stacks.splitlines()
+        )
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "http://127.0.0.1/debug/profile?seconds=1",  # absolute-form (RFC 7230 §5.3.2)
+            "/debug/profile;x?seconds=1",
+        ],
+    )
+    def test_a_profile_by_any_spelling_does_not_hold_the_loop(self, live, target):
+        # The router parses the target; the door must decide by the same parse.
+        base, _, _ = live
+        port = int(base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(f"GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n".encode())
+            _wait_for_profile_to_start()
+            started = time.perf_counter()
+            assert _get(base + "/healthz")[0] == 200
+            assert time.perf_counter() - started < 0.5
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        assert b"".join(chunks).startswith(b"HTTP/1.1 200")
+
+    def test_no_thread_pool_grows_with_traffic(self, live):
+        base, _, _ = live
+        port = int(base.rsplit(":", 1)[1])
+        connections = [
+            http.client.HTTPConnection("127.0.0.1", port, timeout=30) for _ in range(4)
+        ]
+        body = json.dumps(self.FLOWS)
+        try:
+            threads_after_first = None
+            for i in range(200):
+                connection = connections[i % 4]
+                if i % 2:
+                    connection.request("GET", "/node/m-3")
+                else:
+                    connection.request("POST", "/flow_info", body=body)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                if threads_after_first is None:
+                    threads_after_first = threading.active_count()
+            assert threading.active_count() == threads_after_first
+        finally:
+            for connection in connections:
+                connection.close()
 
 
 class TestHealthAndSLO:
@@ -286,6 +446,34 @@ class TestProfileEndpoint:
         assert body  # the sweeper thread alone guarantees stacks
         stack, _, count = body.splitlines()[0].rpartition(" ")
         assert ";" in stack and count.isdigit()
+
+    @pytest.mark.parametrize(
+        "method, target, expected",
+        [
+            ("GET", "/debug/profile", True),
+            ("GET", "/debug/profile?seconds=30", True),
+            ("GET", "http://host:8080/debug/profile?seconds=30", True),
+            ("GET", "/debug/profile;x?seconds=30", True),
+            ("GET", "/debug/profile#f", True),
+            ("POST", "/debug/profile", False),  # 404: only GET routes there
+            ("GET", "/debug/profile/", False),
+            ("GET", "/debug/slow?next=/debug/profile", False),
+            ("POST", "/flow_info", False),
+        ],
+    )
+    def test_sleeps_is_true_for_exactly_what_routes_to_the_profiler(
+        self, live, method, target, expected, monkeypatch
+    ):
+        _, service, _ = live
+        request = app.Request(method=method, target=target)
+        assert app.sleeps(request) is expected
+        # ... and the router agrees, spelled however.
+        routed = []
+        monkeypatch.setattr(
+            app, "_route_profile", lambda params: routed.append(1) or app.Response.json(200, {})
+        )
+        app.handle_request(service, request)
+        assert bool(routed) is expected
 
     def test_profile_bounds_are_enforced(self, live):
         base, _, _ = live
