@@ -7,7 +7,10 @@ federation's total host count.  The suite measures:
 
 * a **shard sweep** (4 / 8 / 16 shards x 64 hosts each = 256-1024
   hosts): warm intra- and cross-shard ``flow_info`` cost plus the
-  aggregator's merge cost per point;
+  aggregator's merge cost per point, and — reported, not gated — one
+  all-pairs cross-shard query over one host per shard (12 / 56 / 240
+  flows: the end-to-end ``fed_cross`` workload's cross-shard shape, large
+  enough for the plan's level-axis allocation);
 * a **host-scaling pair** at a fixed 8 shards (32 vs 128 hosts per
   shard: 256 -> 1024 total, a 4x host ratio): the warm cross-shard query
   cost must stay nearly flat — gated at ``host_ratio / cross_ratio >= 2``
@@ -79,17 +82,23 @@ def federation_point(shards: int, leaves: int, spines: int, hosts_per_leaf: int)
         last = plan.shards[-1]
         intra = Flow(plan.hosts["s0"][0], plan.hosts["s0"][-1])
         cross = Flow(plan.hosts["s0"][0], plan.hosts[last][-1])
+        firsts = [plan.hosts[shard][0] for shard in plan.shards]
+        allpairs = [Flow(src, dst) for src in firsts for dst in firsts if src != dst]
         gc.collect()
         gc.disable()
         try:
             # Warm both planes (routes, capacity views), then time.
             remos.flow_info(variable_flows=[intra])
             remos.flow_info(variable_flows=[cross])
+            remos.flow_info(variable_flows=allpairs)
             intra_wall = best_of(
                 5, lambda: remos.flow_info(variable_flows=[intra])
             )
             cross_wall = best_of(
                 5, lambda: remos.flow_info(variable_flows=[cross])
+            )
+            allpairs_wall = best_of(
+                5, lambda: remos.flow_info(variable_flows=allpairs)
             )
             # Merge cost: force a full re-summarize by advancing every cell.
             world.settle(6.0)
@@ -107,6 +116,8 @@ def federation_point(shards: int, leaves: int, spines: int, hosts_per_leaf: int)
             "summary_edges": len(summary.edges),
             "intra_query_ms": intra_wall * 1e3,
             "cross_query_ms": cross_wall * 1e3,
+            "allpairs_flows": len(allpairs),
+            "allpairs_query_ms": allpairs_wall * 1e3,
             "merge_ms": merge_wall * 1e3,
         }
     finally:
@@ -198,7 +209,8 @@ def test_federation_report(benchmark):
         "Federated Remos - shard sweep (64 hosts/shard, mesh WAN)",
         [
             "Shards", "hosts", "summary edges",
-            "intra query (ms)", "cross query (ms)", "merge (ms)",
+            "intra query (ms)", "cross query (ms)",
+            "all-pairs flows", "all-pairs query (ms)", "merge (ms)",
         ],
     )
     sweep = []
@@ -210,6 +222,7 @@ def test_federation_report(benchmark):
         table.add_row(
             r["shards"], r["hosts"], r["summary_edges"],
             f"{r['intra_query_ms']:.2f}", f"{r['cross_query_ms']:.2f}",
+            r["allpairs_flows"], f"{r['allpairs_query_ms']:.2f}",
             f"{r['merge_ms']:.2f}",
         )
     text = table.render()

@@ -17,10 +17,17 @@ query as four plain stages over two callables the facade supplies:
 modeler it pinned; ``FederatedRemos`` supplies its query pin, which
 resolves through the owning shards' local sources and prices summary
 edges itself.  :func:`admission` is the guaranteed-service twin
-(resolve → median price → ``admission_report``).  The array kernel in
-:mod:`repro.core.snaparrays` answers large all-unicast scenarios with the
-same labels, the same checks and bit-identical results; ``Remos``
-dispatches between the two.
+(resolve → median price → ``admission_report``).
+
+The allocate stage is one ``StagedProblem.solve_levels`` call over the six
+capacity rows: from ``MIN_DEMANDS`` (12) flows up it is one filling run
+per stage over all six levels and one ``fairshare.allocate`` span
+(``levels=6``) — every large cross-shard and multicast scenario — and
+below that six level-by-level solves, one span each.  The array evaluator
+in :mod:`repro.core.snaparrays` answers large all-unicast single-cell
+scenarios with the same labels, the same checks, the same staged kernel
+chain and bit-identical results, skipping this module's per-flow objects;
+``Remos`` dispatches between the two.
 """
 
 from __future__ import annotations
@@ -159,16 +166,16 @@ def evaluate(
     accuracy = min((measure.accuracy for measure in prices.values()), default=1.0)
 
     # -- allocate -----------------------------------------------------------
-    # Demand validation and crossing indices are prepared once and solved
-    # per level.
-    rates: dict[str, dict[Hashable, float]] = {}
-    for level in PRICED:
-        allocation = problem.solve(
+    # Every level in one call: one filling run per stage over all six from
+    # MIN_DEMANDS flows up, level by level below.
+    allocations = problem.solve_levels(
+        [
             {key: getattr(measure, level) for key, measure in prices.items()}
-        )
-        rates[level] = allocation.rates
-        if level == "median":
-            median = allocation
+            for level in PRICED
+        ]
+    )
+    rates = {level: allocation.rates for level, allocation in zip(PRICED, allocations)}
+    median = allocations[PRICED.index("median")]
 
     # -- annotate -----------------------------------------------------------
     def answers(klass: str, flows: Sequence[Flow]) -> list[FlowAnswer]:

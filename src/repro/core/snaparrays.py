@@ -30,21 +30,20 @@ i.e. one per published epoch) has two halves:
 
 :func:`evaluate_flow_query` is the size-selected kernel beside the shared
 scalar plan (:mod:`repro.core.plan`); ``Remos._evaluate_flow_query``
-dispatches between them on :func:`vectorizable`.  What the two share is a
-contract, not code: the same endpoint validation
-(``plan.validate_endpoint``) and label-uniqueness check raising the same
-``QueryError`` texts, the same ``Flow.label`` labels and evaluation levels
-(``plan.LEVELS``/``PRICED``), the same staged fixed → variable →
-independent chaining, one counted price read per crossed direction, and
-the same result assembly — quartiles sorted per flow, accuracy the worst
-among the priced resources, ``satisfied``/``bottleneck`` read at the
-median.  Where they differ is the shape of the solve: the plan runs the
-staged pipeline once per level, under one ``fairshare.allocate`` span
-each; here the ``(levels, resources)`` block the price columns hand over
-goes to :func:`repro.fairshare.vectorized.fill` whole, so each stage is
-**one** filling run over all six levels and the query records one
-``fairshare.allocate`` span (``levels=6``).  Answers are **bit-identical**
-to the plan's (differentially fuzzed in
+dispatches between them on :func:`vectorizable`.  The two share the same
+endpoint validation (``plan.validate_endpoint``) and label-uniqueness check
+raising the same ``QueryError`` texts, the same ``Flow.label`` labels and
+evaluation levels (``plan.LEVELS``/``PRICED``), one counted price read per
+crossed direction, the same result assembly — quartiles sorted per flow,
+accuracy the worst among the priced resources, ``satisfied``/``bottleneck``
+read at the median — and the same solve: the staged fixed → variable →
+independent chain of :func:`repro.fairshare.vectorized.fill_stages`, one
+filling run per stage over all six levels, under one ``fairshare.allocate``
+span (``levels=6``).  The plan reaches it through
+``StagedProblem.solve_levels``; what this evaluator saves is the plan's
+per-flow objects — it interns route rows once per epoch and reads the
+``(levels, resources)`` capacity block straight off the price columns.
+Answers are **bit-identical** to the plan's (differentially fuzzed in
 ``tests/fairshare/test_vectorized_maxmin.py`` and gated in
 ``benchmarks/bench_ablation_scale.py``); the plan remains the oracle and
 the no-numpy fallback.
@@ -60,7 +59,6 @@ from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, MulticastFlow
 from repro.core.plan import LEVELS, PRICED, validate_endpoint
 from repro.core.timeframe import Timeframe, TimeframeKind
 from repro.fairshare import vectorized as _vectorized
-from repro.fairshare.maxmin import _EPS
 from repro.fairshare.vectorized import HAVE_NUMPY, KeySpace
 from repro.stats import StatMeasure
 from repro.util.errors import QueryError
@@ -392,10 +390,6 @@ def evaluate_flow_query(
 
     # Solve every availability level at once through the staged pipeline:
     # one filling run per stage over the (levels, resources) block.
-    median = PRICED.index("median")
-    rates: dict[str, "np.ndarray"] = {}
-    median_bottleneck: dict[str, "np.ndarray"] = {}
-    median_satisfied = None
     with obs.span("fairshare.allocate") as sp:
         if sp:
             sp.set(
@@ -405,25 +399,19 @@ def evaluate_flow_query(
                 resources=int(present.sum()),
                 levels=len(PRICED),
             )
-        for klass, stage in stages:
-            local_ids = stage.res_ids
-            # ``take``, not ``[:, ids]``: the kernel's row-wise passes want
-            # the C layout a fancy column index does not give.
-            local_remaining = remaining.take(local_ids, axis=1)
-            # Saturation thresholds are relative to this stage's
-            # entry-clamped limits — each stage sees capacities net of
-            # the earlier stages' allocations, as in the scalar
-            # fixed → variable → independent chain.
-            thresholds = _EPS * np.maximum(local_remaining, 1.0)
-            stage_rates, bottleneck, _ = _vectorized.fill(
-                stage, local_remaining, present_g[local_ids], thresholds
-            )
-            remaining[:, local_ids] = local_remaining
-            rates[klass] = stage_rates
-            median_bottleneck[klass] = bottleneck[median]
-            if klass == "fixed":
-                # A fixed demand's cap is its request.
-                median_satisfied = stage_rates[median] >= stage.caps * (1.0 - 1e-9)
+        results = _vectorized.fill_stages(
+            [stage for _, stage in stages], remaining, present_g
+        )
+    median = PRICED.index("median")
+    rates: dict[str, "np.ndarray"] = {}
+    median_bottleneck: dict[str, "np.ndarray"] = {}
+    median_satisfied = None
+    for (klass, stage), (stage_rates, bottleneck, _) in zip(stages, results):
+        rates[klass] = stage_rates
+        median_bottleneck[klass] = bottleneck[median]
+        if klass == "fixed":
+            # A fixed demand's cap is its request.
+            median_satisfied = stage_rates[median] >= stage.caps * (1.0 - 1e-9)
 
     def answers(klass: str, flows: list[Flow]) -> list[FlowAnswer]:
         if not flows:

@@ -18,11 +18,15 @@ from routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Mapping, Sequence
 
 from repro import obs
+from repro.fairshare import vectorized as _vectorized
 from repro.fairshare.maxmin import Demand, MaxMinProblem, MaxMinResult
 from repro.util.errors import ConfigurationError
+
+if _vectorized.HAVE_NUMPY:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -84,14 +88,18 @@ class StagedProblem:
     """A prepared three-stage pipeline, solvable at many load levels.
 
     One Remos ``flow_info`` query evaluates the identical flow set at six
-    capacity snapshots (five quartile levels plus the mean), and a batched
-    scenario sweep evaluates many flow sets at each.  Preparing the stage
-    :class:`MaxMinProblem` instances once amortises demand validation and
-    the crossing-index build across all those solves; each :meth:`solve`
-    still records its own ``fairshare.allocate`` span.
+    capacity snapshots (five quartile levels plus the mean).
+    :meth:`solve_levels` takes them together: from
+    :data:`~repro.fairshare.vectorized.MIN_DEMANDS` flows up (or when
+    vectorization is forced) the three stages are interned into one
+    :class:`~repro.fairshare.vectorized.KeySpace` once and each stage is
+    **one** filling run over every level, under one ``fairshare.allocate``
+    span (``levels=L``); smaller problems solve level by level through the
+    stage :class:`MaxMinProblem` instances, prepared once, one span per
+    level.  :meth:`solve` is the same call at one level.
     """
 
-    __slots__ = ("fixed", "variable", "independent", "_problems")
+    __slots__ = ("fixed", "variable", "independent", "_problems", "_arrays")
 
     def __init__(
         self,
@@ -137,6 +145,7 @@ class StagedProblem:
             if self.independent
             else None,
         ]
+        self._arrays = None
 
     def resource_keys(self) -> tuple[Hashable, ...]:
         """Every resource key referenced by any flow in any stage.
@@ -152,19 +161,106 @@ class StagedProblem:
                 keys.setdefault(resource, None)
         return tuple(keys)
 
-    def solve(self, capacities: dict[Hashable, float]) -> StagedAllocation:
+    def solve(self, capacities: Mapping[Hashable, float]) -> StagedAllocation:
         """Run the fixed → variable → independent pipeline on *capacities*."""
+        return self.solve_levels([capacities])[0]
+
+    def solve_levels(
+        self, levels: Sequence[Mapping[Hashable, float]]
+    ) -> list[StagedAllocation]:
+        """The pipeline at every capacity mapping in *levels*, in order.
+
+        Each allocation equals — rates, satisfied, bottlenecks, residual
+        capacities and iterations, bit for bit — the level-by-level chain's
+        for that mapping alone.
+        """
+        demands = len(self.fixed) + len(self.variable) + len(self.independent)
+        if not _vectorized._use_vectorized(demands):
+            return [self._solve_level(capacities) for capacities in levels]
         with obs.span("fairshare.allocate") as sp:
-            if sp:
-                sp.set(
-                    fixed=len(self.fixed),
-                    variable=len(self.variable),
-                    independent=len(self.independent),
-                    resources=len(capacities),
+            self._annotate(sp, max(map(len, levels), default=0), levels=len(levels))
+            return self._solve_arrays(levels)
+
+    def _annotate(self, sp, resources: int, **extra) -> None:
+        if sp:
+            sp.set(
+                fixed=len(self.fixed),
+                variable=len(self.variable),
+                independent=len(self.independent),
+                resources=resources,
+                **extra,
+            )
+
+    def _solve_arrays(self, levels) -> list[StagedAllocation]:
+        """Every level through :func:`~repro.fairshare.vectorized.fill_stages`."""
+        if self._arrays is None:
+            keyspace = _vectorized.KeySpace()
+            stages = [
+                (requests, _vectorized.DemandArrays(problem.demands, keyspace))
+                for requests, problem in zip(
+                    (self.fixed, self.variable, self.independent), self._problems
                 )
+                if problem is not None
+            ]
+            self._arrays = (keyspace, stages)
+        keyspace, stages = self._arrays
+
+        # The entry clamp the scalar chain applies; the clamped mappings
+        # become the residuals, their crossed slots the capacity block.
+        # Levels usually share one key order, so its layout is reused.
+        index = keyspace.index
+        remaining = np.zeros((len(levels), len(keyspace)), dtype=np.float64)
+        present = np.zeros(remaining.shape, dtype=bool)
+        residuals, crossings = [], []
+        layout = None
+        for level, capacities in enumerate(levels):
+            keys = list(capacities)
+            if layout is None or layout[0] != keys:
+                cols = [j for j, key in enumerate(keys) if key in index]
+                layout = (keys, cols, [keys[j] for j in cols], [index[keys[j]] for j in cols])
+            _, cols, crossed, ids = layout
+            row = np.fromiter(capacities.values(), dtype=np.float64, count=len(keys))
+            # Python's ``max(0.0, float(cap))`` exactly: NaN and -0.0 give +0.0.
+            row = np.where(row > 0.0, row, 0.0)
+            residuals.append(dict(zip(keys, row.tolist())))
+            crossings.append((crossed, ids))
+            remaining[level, ids] = row[cols]
+            present[level, ids] = True
+
+        results = _vectorized.fill_stages(
+            [arrays for _, arrays in stages], remaining, present
+        )
+        allocations = [StagedAllocation(residual_capacity=r) for r in residuals]
+        for (requests, arrays), (rates, bottleneck, iterations) in zip(stages, results):
+            flow_ids = [request.flow_id for request in requests]
+            res_keys = arrays.res_keys
+            # A fixed demand's cap is its request.
+            satisfied = (
+                (rates >= arrays.caps * (1.0 - 1e-9)).tolist()
+                if requests is self.fixed
+                else None
+            )
+            for level, allocation in enumerate(allocations):
+                allocation.rates.update(zip(flow_ids, rates[level].tolist()))
+                allocation.bottlenecks.update(
+                    zip(
+                        flow_ids,
+                        [None if r < 0 else res_keys[r] for r in bottleneck[level].tolist()],
+                    )
+                )
+                allocation.iterations += int(iterations[level])
+                if satisfied is not None:
+                    allocation.satisfied.update(zip(flow_ids, satisfied[level]))
+        for allocation, (crossed, ids), drained in zip(allocations, crossings, remaining):
+            allocation.residual_capacity.update(zip(crossed, drained[ids].tolist()))
+        return allocations
+
+    def _solve_level(self, capacities: Mapping[Hashable, float]) -> StagedAllocation:
+        with obs.span("fairshare.allocate") as sp:
+            self._annotate(sp, len(capacities))
             return self._solve(capacities)
 
-    def _solve(self, capacities: dict[Hashable, float]) -> StagedAllocation:
+    def _solve(self, capacities: Mapping[Hashable, float]) -> StagedAllocation:
         allocation = StagedAllocation()
         current = {key: max(0.0, float(cap)) for key, cap in capacities.items()}
 

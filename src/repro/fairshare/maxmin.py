@@ -131,30 +131,15 @@ class MaxMinProblem:
     rebuilding the crossing index per level.
     """
 
-    __slots__ = (
-        "demands",
-        "_crossing",
-        "_order",
-        "_positions",
-        "_arrays",
-        "_keyspace",
-        "_rows",
-    )
+    __slots__ = ("demands", "_crossing", "_order", "_positions", "_arrays")
 
-    def __init__(self, demands: Iterable[Demand], keyspace=None, rows=None):
-        """*keyspace*/*rows* optionally carry a precomputed route→resource
-        incidence (``repro.core.snaparrays.SnapshotArrays``): *rows* is a
-        list of interned-id arrays aligned with *demands*, ids interned in
-        *keyspace*.  They only feed the vectorized path; the scalar path
-        ignores them."""
+    def __init__(self, demands: Iterable[Demand]):
         self.demands: list[Demand] = list(demands)
         seen: set[Hashable] = set()
         for demand in self.demands:
             if demand.flow_id in seen:
                 raise ConfigurationError(f"duplicate flow_id {demand.flow_id!r}")
             seen.add(demand.flow_id)
-        if rows is not None and (keyspace is None or len(rows) != len(self.demands)):
-            raise ConfigurationError("resource rows need a keyspace and one row per demand")
         # Both index forms are built lazily on first use: the crossing
         # dicts by the scalar path, the incidence arrays by the vectorized
         # path — a problem solved only one way never builds the other.
@@ -162,8 +147,6 @@ class MaxMinProblem:
         self._order: dict[Hashable, int] | None = None
         self._positions: dict[Hashable, dict[Hashable, int]] | None = None
         self._arrays = None
-        self._keyspace = keyspace
-        self._rows = rows
 
     def _ensure_index(self) -> None:
         """Build the scalar path's crossing index (idempotent).
@@ -237,9 +220,7 @@ class MaxMinProblem:
     def solve_vectorized(self, capacities: Mapping[Hashable, float]) -> MaxMinResult:
         """The numpy filling loop (requires numpy; same answers, bit for bit)."""
         if self._arrays is None:
-            self._arrays = _vectorized.DemandArrays(
-                self.demands, keyspace=self._keyspace, rows=self._rows
-            )
+            self._arrays = _vectorized.DemandArrays(self.demands)
         return _vectorized.solve_arrays(self._arrays, self.demands, capacities)
 
     def solve_scalar(self, capacities: Mapping[Hashable, float]) -> MaxMinResult:

@@ -19,7 +19,12 @@ mean) that differ only in the capacity row, and at 30–360 elements a numpy
 call costs its dispatch, not its arithmetic: so ``remaining`` and
 ``thresholds`` carry a leading level axis, every array above gains that
 axis, and one loop — whose trip count is the slowest level's, not the sum —
-fills them all.  :func:`solve_arrays` (one capacity mapping, as
+fills them all.  :func:`fill_stages` chains the kernel through the three
+allocation stages over one ``(levels, resources)`` block; both flow-query
+evaluators reach the kernel through it — ``StagedProblem.solve_levels``
+(:mod:`repro.fairshare.allocator`, under the plan) and the array evaluator
+in :mod:`repro.core.snaparrays` — and nothing outside this package calls
+:func:`fill` itself.  :func:`solve_arrays` (one capacity mapping, as
 ``MaxMinProblem.solve`` takes) is the same kernel at one level.
 
 Answers match the scalar path **bit for bit**, level by level.  Every
@@ -212,22 +217,20 @@ class DemandArrays:
         "n_init_active",
     )
 
-    def __init__(self, demands, keyspace: KeySpace | None = None, rows=None):
+    def __init__(self, demands, keyspace: KeySpace | None = None):
+        """Intern *demands*' resources into *keyspace* (a fresh one if None):
+        the stages of one staged problem share a keyspace, so their id
+        columns index one capacity block."""
+        if keyspace is None:
+            keyspace = KeySpace()
         n = len(demands)
         weights = np.empty(n, dtype=np.float64)
         caps = np.empty(n, dtype=np.float64)
-        if rows is None:
-            keyspace = KeySpace()
-            rows = []
-            for i, demand in enumerate(demands):
-                weights[i] = demand.weight
-                caps[i] = demand.cap
-                rows.append(keyspace.intern_row(demand.resources))
-        else:
-            assert keyspace is not None
-            for i, demand in enumerate(demands):
-                weights[i] = demand.weight
-                caps[i] = demand.cap
+        rows = []
+        for i, demand in enumerate(demands):
+            weights[i] = demand.weight
+            caps[i] = demand.cap
+            rows.append(keyspace.intern_row(demand.resources))
         self._build(weights, caps, rows, keyspace)
 
     @classmethod
@@ -266,7 +269,7 @@ class DemandArrays:
         # ascends, so ``res_keys`` is deterministic given the keyspace.
         self.res_ids, self.ent_local = np.unique(ent_res, return_inverse=True)
         keys = keyspace.keys
-        self.res_keys = [keys[int(ident)] for ident in self.res_ids]
+        self.res_keys = [keys[ident] for ident in self.res_ids.tolist()]
         # Pre-masked initial weights, copied (not rebuilt) by every fill.
         self.init_w_active = np.where(init_active, weights, 0.0)
         self.n_init_active = int(np.count_nonzero(init_active))
@@ -277,8 +280,9 @@ def fill(arrays: DemandArrays, remaining, present, thresholds):
 
     *remaining* ``(L, R)`` holds one stage-local capacity row per level
     (drained **in place**), *thresholds* ``(L, R)`` the entry-clamped
-    relative saturation cutoffs, and *present* ``(R,)`` marks the local
-    resources that are capacity-constrained; columns index
+    relative saturation cutoffs, and *present* ``(R,)`` (every level) or
+    ``(L, R)`` (per level) marks the local resources that are
+    capacity-constrained; columns index
     ``arrays.res_ids`` positionally.  Returns ``(rates (L, n), bottleneck
     (L, n), iterations (L,))`` where ``bottleneck[l, i]`` is the local
     resource index that froze demand *i* at level *l* (−1 =
@@ -362,6 +366,10 @@ def fill(arrays: DemandArrays, remaining, present, thresholds):
         if count(done):
             rates[(w_active > 0.0) & done[:, None]] = inf
             w_active[done] = 0.0
+            if capped is not None:
+                # A capped flow here had overflowing headroom; the cap test
+                # below must not pull its inf back to the cap.
+                capped_active[done] = False
             n_active[done] = 0
             running = n_active > 0
             if not count(running):
@@ -428,6 +436,35 @@ def fill(arrays: DemandArrays, remaining, present, thresholds):
         step_frozen[:] = False
 
     return rates, bottleneck, iterations
+
+
+def fill_stages(stages, remaining, present):
+    """The staged fixed → variable → independent chain, every level at once.
+
+    *stages* are the non-empty stages' :class:`DemandArrays` in priority
+    order, interned in one :class:`KeySpace`; *remaining* ``(L, K)`` holds
+    each level's entry-clamped capacity by interned id and is drained **in
+    place**, stage after stage, so each stage sees capacities net of the
+    earlier stages' allocations; *present* ``(K,)`` or ``(L, K)`` marks the
+    constrained ids.  Returns one :func:`fill` result per stage: one
+    filling run per stage over all L levels.
+    """
+    from repro.fairshare.maxmin import _EPS
+
+    results = []
+    for stage in stages:
+        local_ids = stage.res_ids
+        # ``take``, not ``[:, ids]``: the kernel's row-wise passes want
+        # the C layout a fancy column index does not give.
+        local_remaining = remaining.take(local_ids, axis=1)
+        # Saturation thresholds are relative to this stage's entry-clamped
+        # limits, as each scalar stage's own entry clamp makes them.
+        thresholds = _EPS * np.maximum(local_remaining, 1.0)
+        results.append(
+            fill(stage, local_remaining, present.take(local_ids, axis=-1), thresholds)
+        )
+        remaining[:, local_ids] = local_remaining
+    return results
 
 
 def solve_arrays(arrays: DemandArrays, demands, capacities: Mapping):

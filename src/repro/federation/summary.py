@@ -175,6 +175,7 @@ class FederationSummary:
         "generation",
         "structure_generation",
         "_adjacency",
+        "_paths",
         "_init_done",
     )
 
@@ -208,6 +209,9 @@ class FederationSummary:
             adjacency.setdefault(edge.a, []).append(edge)
             adjacency.setdefault(edge.b, []).append(edge)
         object.__setattr__(self, "_adjacency", adjacency)
+        #: (src_shard, dst_shard) -> summary path, filled lazily with fully
+        #: built tuples (the dict-of-immutables pattern, docs/CONCURRENCY.md).
+        object.__setattr__(self, "_paths", {})
         object.__setattr__(self, "_init_done", True)
 
     def __setattr__(self, name, value):
@@ -239,8 +243,17 @@ class FederationSummary:
         Dijkstra over the summary graph weighted by bundle latency, ties
         broken by hop count then shard name — deterministic, like the
         physical routing table.  Raises :class:`QueryError` when the
-        shards are disconnected at summary level.
+        shards are disconnected at summary level.  The summary never
+        changes, so each pair's path is computed once per summary; a
+        failure is not remembered and raises again on every call.
         """
+        key = (src_shard, dst_shard)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = self._shortest_path(src_shard, dst_shard)
+        return path
+
+    def _shortest_path(self, src_shard: str, dst_shard: str) -> tuple[SummaryEdge, ...]:
         self.cell(src_shard)
         self.cell(dst_shard)
         if src_shard == dst_shard:

@@ -57,9 +57,9 @@ Endpoints
     plus the predictive-admission verdict counters.
 ``GET /debug/profile?seconds=N``
     Run the sampling wall-clock profiler for N seconds (default 2, max
-    30; ``interval`` in seconds optional) and return collapsed stacks as
-    ``text/plain`` — flamegraph-ready.  One profile at a time per
-    process (409 otherwise).
+    30; ``interval`` in seconds optional, shorter than ``seconds``) and
+    return collapsed stacks as ``text/plain`` — flamegraph-ready.  One
+    profile at a time per process (409 otherwise).
 ``GET /graph?nodes=a,b,c``
     ``remos_get_graph`` over the named nodes.  Timeframe selection via
     flat query parameters mirroring the JSON spec:
@@ -464,6 +464,10 @@ def _route_profile(params: dict) -> Response:
     if not 0.0 < seconds <= MAX_PROFILE_SECONDS:
         raise ReproError(
             f"seconds must be in (0, {MAX_PROFILE_SECONDS:g}], got {seconds:g}"
+        )
+    if not interval < seconds:  # no sample would be taken (refuses nan too)
+        raise ReproError(
+            f"interval must be shorter than seconds ({seconds:g}), got {interval:g}"
         )
     if not _profile_lock.acquire(blocking=False):
         return Response.json(409, {"error": "a profile is already running"})

@@ -226,6 +226,21 @@ def test_two_saturate_in_one_level_while_one_saturates_in_another():
     assert steps == 2
 
 
+def test_a_level_finished_unbounded_keeps_its_capped_flow_infinite():
+    # "a"'s headroom over its subnormal weight overflows to inf, so level 0
+    # (nothing binds) finishes in step one with every rate inf while level
+    # 1 still fills: that step's cap freeze must not pull level 0's inf
+    # back to the cap.
+    demands = [
+        Demand(flow_id="a", resources=(), weight=2.2250738585e-313, cap=1.0),
+        Demand(flow_id="b", resources=("r0",)),
+    ]
+    with np.errstate(over="ignore"):
+        check_levels_identical(demands, ["r0"], [[math.inf], [0.0]])
+        (rates, *_), _ = fill_levels(demands, ["r0"], [[math.inf], [0.0]])
+    assert rates == {"a": math.inf, "b": math.inf}
+
+
 def test_single_demand_shapes():
     for cap in (math.inf, 5.0, 0.0):
         check_identical(

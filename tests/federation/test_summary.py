@@ -6,6 +6,7 @@ import pytest
 
 from repro.collector import Cell, MetricsStore
 from repro.collector.base import NetworkView
+from repro.core import Flow
 from repro.federation import Aggregator, FederationSummary, summarize_cell
 from repro.federation.summary import CellSummary, SummaryEdge
 from repro.net import TopologyBuilder
@@ -196,3 +197,54 @@ class TestSummaryPath:
         summary = self._summary([self._edge("a", "b")])
         with pytest.raises(QueryError):
             summary.summary_path("a", "zz")
+
+    def test_disconnected_pair_raises_on_every_call(self, monkeypatch):
+        runs = count_dijkstras(monkeypatch)
+        summary = self._summary([self._edge("a", "b")])
+        for _ in range(2):
+            with pytest.raises(QueryError, match="no summary path"):
+                summary.summary_path("a", "d")
+        assert runs == [("a", "d")] * 2  # the failure is not remembered
+
+
+def count_dijkstras(monkeypatch) -> list:
+    """Record every summary-graph Dijkstra run as its (src, dst) pair."""
+    runs = []
+    original = FederationSummary._shortest_path
+
+    def counted(self, src_shard, dst_shard):
+        runs.append((src_shard, dst_shard))
+        return original(self, src_shard, dst_shard)
+
+    monkeypatch.setattr(FederationSummary, "_shortest_path", counted)
+    return runs
+
+
+def test_each_summary_computes_each_path_once(monkeypatch):
+    """All-pairs cross flows over 4 one-host shards: 12 Dijkstras on the
+    first query over a summary, none on the second, 12 again after a new
+    merge publishes a new summary."""
+    world, remos, _oracle = make_world(
+        shards=4, leaves=1, spines=1, hosts_per_leaf=1, warmup=2.0
+    )
+    try:
+        hosts = [world.plan.hosts[shard][0] for shard in world.plan.shards]
+        flows = [Flow(src, dst) for src in hosts for dst in hosts if src != dst]
+        assert len(flows) == 12
+        runs = count_dijkstras(monkeypatch)
+
+        first = remos.flow_info(variable_flows=flows)
+        assert len(runs) == 12
+        assert len(set(runs)) == 12
+        second = remos.flow_info(variable_flows=flows)
+        assert len(runs) == 12
+        assert second.to_dict() == first.to_dict()
+
+        summary = remos.snapshot()
+        world.settle(2.0)
+        world.refresh_all()
+        assert remos.snapshot() is not summary
+        remos.flow_info(variable_flows=flows)
+        assert len(runs) == 24
+    finally:
+        world.stop()

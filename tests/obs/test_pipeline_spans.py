@@ -9,8 +9,9 @@ asserts the span tree, counters, and combined telemetry snapshot that
 import pytest
 
 from repro import obs
-from repro.core import Flow, Timeframe, remos_flow_info
+from repro.core import Flow, MulticastFlow, Timeframe, remos_flow_info
 from repro.core.snaparrays import vectorizable
+from repro.fairshare import vectorized
 from repro.testbed import build_cmu_testbed
 
 HOSTS = ["m-1", "m-4", "m-6"]
@@ -91,6 +92,28 @@ class TestFlowInfoSpanTree:
         assert child.attributes["variable"] == 12
         assert child.attributes["resources"] > 0
         assert trace.attributes["cache_misses"] == 0
+
+    def test_warm_multicast_query_allocates_under_one_span(self, remos):
+        # Multicast never takes the array evaluator; the plan answers it,
+        # and from MIN_DEMANDS flows up its allocate stage is one call
+        # over all six levels.
+        flows = [
+            MulticastFlow(src, [dst for dst in HOSTS if dst != src]) for src in HOSTS
+        ] * 4
+        assert len(flows) == 12 and not vectorizable([], flows, [])
+        if not vectorized._use_vectorized(len(flows)):
+            pytest.skip("array kernel off (no numpy or REPRO_VECTORIZE=0)")
+        timeframe = Timeframe.history(WARMUP)
+        remos_flow_info(remos, variable_flows=flows, timeframe=timeframe)
+        result = remos_flow_info(remos, variable_flows=flows, timeframe=timeframe)
+        assert len(result.variable) == 12
+
+        trace = obs.get_tracer().last_trace("query.flow_info")
+        (child,) = trace.children()
+        assert child.name == "fairshare.allocate"
+        assert child.attributes["levels"] == 6
+        assert child.attributes["variable"] == 12
+        assert child.attributes["resources"] > 0
 
     def test_collector_sweeps_are_detached_root_traces(self, remos):
         query(remos)

@@ -480,6 +480,19 @@ class TestProfileEndpoint:
         assert _get(base + "/debug/profile?seconds=0")[0] == 400
         assert _get(base + "/debug/profile?seconds=1e9")[0] == 400
 
+    @pytest.mark.parametrize("interval", ["5", "0.1", "nan"])
+    def test_a_profile_that_cannot_sample_is_refused_naming_interval(
+        self, live, interval
+    ):
+        # The sampler waits one interval before its first sample: at or
+        # beyond the duration it would answer 200 with an empty body.
+        base, _, _ = live
+        status, _, body = _get(
+            base + f"/debug/profile?seconds=0.1&interval={interval}"
+        )
+        assert status == 400
+        assert "interval" in json.loads(body)["error"]
+
 
 class TestServiceDirect:
     def test_service_health_dict_shape(self, live):
