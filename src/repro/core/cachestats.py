@@ -41,7 +41,9 @@ class CacheStats:
         Total wall-clock seconds spent answering those queries.
     per_cache:
         ``{cache name: {"hits": n, "misses": n}}`` breakdown; cache names
-        are ``"bandwidth"``, ``"cpu"`` and ``"graph"``.
+        are ``"bandwidth"``, ``"cpu"``, ``"graph"`` (the epoch's priced
+        graphs) and ``"graph_plan"`` (a plan reused is a hit, one built a
+        miss).
     """
 
     hits: int = 0

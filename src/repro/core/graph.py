@@ -21,7 +21,7 @@ try:  # numpy is the optional ``repro[fast]`` accelerator
 except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
     np = None
 
-from repro.net import NodeKind
+from repro.net import Node, NodeKind
 from repro.stats import StatMeasure
 from repro.util.errors import QueryError
 
@@ -45,6 +45,17 @@ class RemosNode:
     memory_bytes: float = 0.0
     aggregate: bool = False
     member_count: int = 1
+
+    @classmethod
+    def of(cls, node: Node, name: str | None = None) -> "RemosNode":
+        """The physical *node* as a logical one (under *name* if given)."""
+        return cls(
+            name=node.name if name is None else name,
+            kind=node.kind,
+            internal_bandwidth=node.internal_bandwidth,
+            compute_speed=node.compute_speed,
+            memory_bytes=node.memory_bytes,
+        )
 
     @property
     def is_compute(self) -> bool:

@@ -23,14 +23,21 @@ what each allocation resource offers (capacity minus external use) for
 the current stamp.  A resource is priced once per epoch — one entry
 validation, one ``complement_of`` — and every later read by any query
 path (array evaluator, lazy capacity views, admission, the federation
-pin, graph annotation) is a plain dict lookup.  The staleness contract
-and the full performance model are documented in ``docs/PERFORMANCE.md``.
+pin, graph annotation) is a plain dict lookup.
+
+Logical graphs split the same way: a **graph plan** (the route union,
+the anchors, the collapsed edges and the link directions each edge end
+folds) depends only on routes and structure, so it is built once per
+structure and shared by every epoch; pricing a plan reads each direction
+once from the price memo and is memoised for the epoch alone.  The
+staleness contract and the full performance model are documented in
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 from repro import obs
 from repro.collector.base import NetworkView
@@ -61,6 +68,10 @@ AUTO_COLLAPSE_THRESHOLD = 64
 # resource (plus, on the array path, seven floats per interned id).
 _MAX_PRICED_TIMEFRAMES = 8
 
+# Graph plans kept per structure; the oldest is dropped (and rebuilt on
+# demand) beyond this.  A 16-host plan on a 64-host tree is a few KB.
+_MAX_GRAPH_PLANS = 256
+
 _log = obs.get_logger("repro.core.modeler")
 
 
@@ -82,15 +93,62 @@ class _Entry:
         self.measure = measure
 
 
-class _GraphEntry:
-    """A cached logical graph plus what its annotations depend on."""
+class _PlanEdge(NamedTuple):
+    """One logical edge of a graph plan, minus its availability.
 
-    __slots__ = ("graph", "link_names", "now_used")
+    ``from_a`` / ``from_b`` are the ``(resource key, direction)`` pairs
+    whose prices fold, element-wise min in this order, into the measure
+    leaving ``a`` / ``b``: along the chain for a flat edge, over the
+    members for a hierarchical bundle.
+    """
 
-    def __init__(self, graph: RemosGraph, link_names: frozenset, now_used: float):
-        self.graph = graph
-        self.link_names = link_names
-        self.now_used = now_used
+    name: str
+    a: str
+    b: str
+    capacity: float
+    latency: float
+    physical_links: tuple[str, ...]
+    from_a: tuple[tuple[tuple, LinkDirection], ...]
+    from_b: tuple[tuple[tuple, LinkDirection], ...]
+
+
+class _GraphPlan(NamedTuple):
+    """The structural half of one logical graph: everything but prices."""
+
+    query_nodes: tuple[str, ...]
+    collapse: str
+    nodes: tuple[RemosNode, ...]
+    edges: tuple[_PlanEdge, ...]
+
+
+class _PlanMemo:
+    """Graph plans by ``(ordered nodes, mode, include)`` for one structure.
+
+    Shared by every epoch of that structure and read lock-free; a built
+    plan is inserted whole under ``lock`` (the dict-of-immutables pattern,
+    ``docs/CONCURRENCY.md``), the oldest dropped beyond ``_MAX_GRAPH_PLANS``.
+    """
+
+    __slots__ = ("lock", "plans")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.plans: dict[tuple, _GraphPlan] = {}
+
+    def keep(self, key: tuple, plan: _GraphPlan) -> _GraphPlan:
+        """Insert *plan* unless a racing reader already did; return the kept one."""
+        with self.lock:
+            plans = self.plans
+            kept = plans.get(key)
+            if kept is None:
+                if len(plans) >= _MAX_GRAPH_PLANS:
+                    del plans[next(iter(plans))]
+                kept = plans[key] = plan
+        return kept
+
+
+def _keyed(directions) -> tuple[tuple[tuple, LinkDirection], ...]:
+    return tuple((direction.key, direction) for direction in directions)
 
 
 class Modeler:
@@ -127,10 +185,11 @@ class Modeler:
         self.evaluator = evaluator if evaluator is not None else TimeframeEvaluator()
         self._bandwidth_cache: dict[tuple, _Entry] = {}
         self._cpu_cache: dict[tuple, _Entry] = {}
-        self._graph_cache: dict[tuple, _GraphEntry] = {}
         # The price memo, timeframe -> resource key -> what it offers: valid
         # for ``_cache_stamp`` only, so it is replaced wholesale whenever the
-        # stamp moves and never carried across forks.
+        # stamp moves and never carried across forks.  Priced logical graphs
+        # live in the same tables under ``("graph", plan key)``, so they are
+        # dropped with the prices they were assembled from.
         self._prices: dict[Timeframe, dict[Hashable, StatMeasure]] = {}
         # Serialises creation of what an epoch's readers share: a
         # timeframe's price table, the snapshot arrays.
@@ -139,6 +198,10 @@ class Modeler:
         # crossbar finiteness), so it outlives generations and is dropped
         # only when the routing table itself is replaced.
         self._route_resources: dict[tuple[str, str], tuple[Hashable, ...]] = {}
+        # Graph plans: structural like the route memo, but they also freeze
+        # node attributes the routing signature omits, so they are kept per
+        # structure level rather than per routing table.
+        self._graph_plans = _PlanMemo()
         self._cache_stamp = self._view_stamp()
         # Collapse tree for hierarchical graph queries: built lazily per
         # structure, kept across metrics-only sweeps.  ``_no_hierarchy``
@@ -197,7 +260,7 @@ class Modeler:
             cause = "structural"
         else:
             cause = "rebind" if force else "generation"
-        if self._bandwidth_cache or self._cpu_cache or self._graph_cache:
+        if self._bandwidth_cache or self._cpu_cache:
             self.stats.invalidated()
             obs.inc(
                 "remos_cache_invalidations_by_cause_total",
@@ -210,13 +273,10 @@ class Modeler:
                     old_stamp=self._cache_stamp,
                     new_stamp=stamp,
                     cause=cause,
-                    entries=len(self._bandwidth_cache)
-                    + len(self._cpu_cache)
-                    + len(self._graph_cache),
+                    entries=len(self._bandwidth_cache) + len(self._cpu_cache),
                 )
         self._bandwidth_cache.clear()
         self._cpu_cache.clear()
-        self._graph_cache.clear()
         self._cache_stamp = stamp
 
     def _evict_touched(self, chain) -> None:
@@ -226,7 +286,6 @@ class Modeler:
             touched |= delta.touched
         cpu_hosts = {src for link, src in touched if link == CPU_PSEUDO_LINK}
         directions = {key for key in touched if key[0] != CPU_PSEUDO_LINK}
-        link_names = {link for link, _ in directions}
         evicted = 0
         if directions:
             for key in [
@@ -235,13 +294,6 @@ class Modeler:
                 if (key[0][0], key[0][1]) in directions
             ]:
                 del self._bandwidth_cache[key]
-                evicted += 1
-            for key in [
-                key
-                for key, entry in self._graph_cache.items()
-                if entry.link_names & link_names
-            ]:
-                del self._graph_cache[key]
                 evicted += 1
         if cpu_hosts:
             for key in [key for key in self._cpu_cache if key[0] in cpu_hosts]:
@@ -275,7 +327,8 @@ class Modeler:
         point calls this instead.  O(1) while the structure level is
         unchanged.  The routing table is kept when the rebuilt topology is
         structurally identical (rebased onto the new object), else rebuilt,
-        dropping the route-resource memo with it.
+        dropping the route-resource memo with it.  Graph plans are dropped
+        either way.
         """
         if self.view.structure_generation == self._seen_structure:
             return
@@ -283,7 +336,7 @@ class Modeler:
             self._replace_routing(self.view.topology)
         elif self.routing.topology is not self.view.topology:
             self.routing.rebase(self.view.topology)
-        self._sync_collapse()
+        self._sync_graphs()
         self._seen_structure = self.view.structure_generation
 
     def _replace_routing(self, topology) -> None:
@@ -293,8 +346,11 @@ class Modeler:
         self._route_resources.clear()
         self._snaparrays = None
 
-    def _sync_collapse(self) -> None:
-        """Keep or drop the collapse tree after a (possible) structure change."""
+    def _sync_graphs(self) -> None:
+        """After a (possible) structure change: drop the graph plans (a
+        fresh memo, so epochs still sharing the old one keep it) and keep
+        or drop the collapse tree."""
+        self._graph_plans = _PlanMemo()
         self._no_hierarchy = None
         if self._collapse is None:
             return
@@ -389,7 +445,7 @@ class Modeler:
                 # it so later validity checks are O(1) identity again.
                 self.routing.rebase(view.topology)
             self.view = view
-            self._sync_collapse()
+            self._sync_graphs()
             self._seen_structure = view.structure_generation
             self._refresh_caches(force=True)
             if sp:
@@ -414,9 +470,10 @@ class Modeler:
         * the routing table (and the structural route-resource memo) is
           **shared** with the parent when the topology is structurally
           unchanged — rebased for the O(1) identity fast path — and rebuilt
-          (counting ``stats.routing_rebuilds``) otherwise;
+          (counting ``stats.routing_rebuilds``) otherwise; the graph plans
+          are shared while the structure level is unchanged too;
         * per-entry cache wrappers are **copied** (the immutable measures
-          and graphs inside are shared): entry revalidation restamps
+          inside are shared): entry revalidation restamps
           ``now_used`` in place, and two epochs evaluate at different
           "now"s, so wrappers must never be shared across snapshots;
         * when *view*'s journal can vouch for the step as metrics-only,
@@ -469,6 +526,16 @@ class Modeler:
             if self._collapse.topology is not view.topology:
                 self._collapse.rebase(view.topology)
             child._collapse = self._collapse
+        # Graph plans carry exactly while the structure level, the routing
+        # table and the collapse tree do.
+        if (
+            child.routing is self.routing
+            and child._collapse is self._collapse
+            and view.structure_generation == self._seen_structure
+        ):
+            child._graph_plans = self._graph_plans
+        else:
+            child._graph_plans = _PlanMemo()
         child._seen_structure = view.structure_generation
         child._cache_stamp = self._cache_stamp
 
@@ -491,19 +558,14 @@ class Modeler:
                 key: _Entry(entry.version, entry.now_used, entry.measure)
                 for key, entry in self._cpu_cache.copy().items()
             }
-            child._graph_cache = {
-                key: _GraphEntry(entry.graph, entry.link_names, entry.now_used)
-                for key, entry in self._graph_cache.copy().items()
-            }
             # Reconcile against the frozen stamps now, so the partial
             # eviction (and its stats) happens before publication.
             child._refresh_caches()
         else:
             child._bandwidth_cache = {}
             child._cpu_cache = {}
-            child._graph_cache = {}
             child._cache_stamp = stamp
-            if self._bandwidth_cache or self._cpu_cache or self._graph_cache:
+            if self._bandwidth_cache or self._cpu_cache:
                 cause = "structural" if chain is not None else "generation"
                 self.stats.invalidated()
                 obs.inc(
@@ -836,7 +898,7 @@ class Modeler:
         collapse: str = "auto",
         include: tuple[str, ...] = (),
     ) -> RemosGraph:
-        """Build the pruned + collapsed logical topology for *nodes*.
+        """The pruned + collapsed logical topology for *nodes*.
 
         The flat path (the original algorithm):
 
@@ -847,13 +909,19 @@ class Modeler:
         3. annotate everything for *timeframe*.
 
         The hierarchical path rolls whole switch groups up into aggregate
-        nodes via the collapse tree instead (see
-        :meth:`_compute_hier_graph`).  *collapse* selects between them:
-        ``"flat"`` / ``"hier"`` force a path (``"hier"`` raises
-        :class:`QueryError` on non-hierarchical topologies); ``"auto"``
-        (default) uses the hierarchy only above
+        nodes via the collapse tree instead (see :meth:`_plan_hier`).
+        *collapse* selects between them: ``"flat"`` / ``"hier"`` force a
+        path (``"hier"`` raises :class:`QueryError` on non-hierarchical
+        topologies); ``"auto"`` (default) uses the hierarchy only above
         ``AUTO_COLLAPSE_THRESHOLD`` queried nodes, so small queries keep
         their byte-identical flat answers.
+
+        Steps 1–2 (or the roll-up) are the graph's *plan*, built once per
+        ``(ordered nodes, mode, include)`` and structure level and shared
+        by every epoch; step 3 prices the plan from this epoch's price
+        memo, and the priced graph is memoised for the epoch — callers
+        must treat it as read-only.  Edge order follows sorted names, so
+        the answer never depends on the process's hash seed.
 
         *include* lists extra nodes (any kind — the federation layer
         passes border gateways) routed into the flat graph as anchors
@@ -892,179 +960,172 @@ class Modeler:
                 mode = "flat"
                 self._note_slow_path(len(nodes), exc)
 
-        # Memoised per (generation, sorted nodes, timeframe, mode).  The
-        # query order is part of the answer (RemosGraph.query_nodes), so a
-        # hit is only served when the order matches too; callers must treat
-        # the returned graph as read-only.  Partial invalidation already
-        # evicted graphs over touched links; a hit whose evaluation time
-        # moved (other resources swept) must still prove each annotated
-        # direction's window did not shift.
-        if self.enable_cache:
-            self._refresh_caches()
-            now = self.now
-            key = (tuple(sorted(nodes)), timeframe, mode, include)
-            entry = self._graph_cache.get(key)
-            if entry is not None and entry.graph.query_nodes == list(nodes):
-                if self._validate_graph(entry, timeframe, now):
-                    self.stats.hit("graph")
-                    return entry.graph
-            self.stats.miss("graph")
-        if mode == "hier":
-            graph = self._compute_hier_graph(nodes, timeframe)
+        # The node order is part of the key: it is part of the answer
+        # (``query_nodes``) and decides which way each pair is routed.
+        key = (tuple(nodes), mode, include)
+        measures = self._price_table(timeframe)
+        graph = measures.get(("graph", key))
+        built = False
+        if graph is not None:
+            self.stats.hit("graph")
         else:
-            graph = self._compute_logical_graph(nodes, timeframe, include)
-        if self.enable_cache:
-            link_names = frozenset(
-                name for edge in graph.edges for name in edge.physical_links
-            )
-            self._graph_cache[
-                (tuple(sorted(nodes)), timeframe, mode, include)
-            ] = _GraphEntry(graph, link_names, self.now)
+            if self.enable_cache:
+                self.stats.miss("graph")
+            plan, built = self._graph_plan(key)
+            graph = self._price_plan(plan, timeframe, measures)
+            graph = measures.setdefault(("graph", key), graph)
+        sp = obs.current_span()
+        if sp is not None and sp.attributes.get("plan") != "built":
+            sp.set(plan="built" if built else "reused")
         return graph
 
-    def _validate_graph(
-        self, entry: _GraphEntry, timeframe: Timeframe, now: float
-    ) -> bool:
-        """True while the cached graph's annotations are exact at *now*."""
-        if now == entry.now_used:
-            return True
-        topology = self.view.topology
-        for name in entry.link_names:
-            link = topology.link(name)
-            for src in (link.a, link.b):
-                if not self._window_unmoved(
-                    name, src, timeframe, entry.now_used, now
-                ):
-                    return False
-        entry.now_used = now
-        return True
+    def _graph_plan(self, key: tuple) -> tuple[_GraphPlan, bool]:
+        """``(plan, built)`` for *key*: the structure's memo, or a new build."""
+        memo = self._graph_plans
+        plan = memo.plans.get(key)
+        if plan is not None:
+            self.stats.hit("graph_plan")
+            return plan, False
+        self.stats.miss("graph_plan")
+        nodes, mode, include = key
+        plan = self._plan_hier(nodes) if mode == "hier" else self._plan_flat(nodes, include)
+        return memo.keep(key, plan), True
 
-    def _compute_logical_graph(
-        self, nodes: list[str], timeframe: Timeframe, include: tuple[str, ...] = ()
+    def _price_plan(
+        self, plan: _GraphPlan, timeframe: Timeframe, measures: dict
     ) -> RemosGraph:
-        topology = self.view.topology
+        """Annotate *plan* for *timeframe*: each direction read once from
+        the price table *measures*, folded per edge end with
+        ``StatMeasure.min_of``.  The reads are :meth:`_priced`'s, with the
+        served ones counted as ``"bandwidth"`` hits once per graph.
+        """
         now = self.now  # one evaluation time for the whole graph
+        served = 0
+
+        def fold(directions) -> StatMeasure:
+            nonlocal served
+            measure = None
+            for key, direction in directions:
+                step = measures.get(key)
+                if step is None:
+                    step = measures[key] = self._price(key, timeframe, direction, now)
+                else:
+                    served += 1
+                measure = step if measure is None else StatMeasure.min_of(measure, step)
+            return measure
+
+        graph = RemosGraph(plan.query_nodes)
+        graph.collapse = plan.collapse
+        for node in plan.nodes:
+            graph.add_node(node)
+        for edge in plan.edges:
+            graph.add_edge(
+                RemosEdge(
+                    name=edge.name,
+                    a=edge.a,
+                    b=edge.b,
+                    capacity=edge.capacity,
+                    latency=edge.latency,
+                    available={edge.a: fold(edge.from_a), edge.b: fold(edge.from_b)},
+                    physical_links=edge.physical_links,
+                )
+            )
+        if served and timeframe.kind is not TimeframeKind.STATIC:
+            self.stats.hit("bandwidth", served)
+        return graph
+
+    def _plan_flat(self, nodes: tuple[str, ...], include: tuple[str, ...]) -> _GraphPlan:
+        """The flat plan: the route union pruned to anchors, chains collapsed."""
+        topology = self.view.topology
+        next_hop = self.routing.next_hop
 
         # Step 1: union of routing paths.  ``include`` nodes participate in
         # the route union and stay visible as anchors, but are not query
-        # nodes of the result.
+        # nodes of the result.  Routes forward on the destination, so the
+        # routes into one destination form a tree: walk each earlier node
+        # towards it and stop at the first node already on that tree.
         route_nodes = list(nodes) + [n for n in include if n not in nodes]
-        anchor_names = set(route_nodes)
-        keep_nodes: set[str] = set(route_nodes)
-        keep_links: set[str] = set()
-        for i, src in enumerate(route_nodes):
-            for dst in route_nodes[i + 1:]:
-                route = self.routing.route(src, dst)
-                keep_nodes.update(route.node_sequence)
-                keep_links.update(link.name for link in route.links)
+        endpoints = set(route_nodes)
+        keep_nodes = set(endpoints)
+        keep_links = {}
+        for i, dst in enumerate(route_nodes):
+            tree = {dst}
+            for current in route_nodes[:i]:
+                while current not in tree:
+                    tree.add(current)
+                    hop = next_hop(current, dst)
+                    keep_links[hop.link.name] = hop.link
+                    current = hop.dst
+            keep_nodes |= tree
 
-        # Chains as link-name paths between "anchor" nodes.  Anchors are the
+        # Chains as link paths between "anchor" nodes.  Anchors are the
         # queried nodes, compute nodes, and network nodes with degree != 2
-        # within the pruned subgraph.
-        adjacency: dict[str, list[str]] = {name: [] for name in keep_nodes}
-        for link_name in keep_links:
-            link = topology.link(link_name)
-            adjacency[link.a].append(link_name)
-            adjacency[link.b].append(link_name)
+        # within the pruned subgraph.  Sorted link names fix the edge order.
+        adjacency: dict[str, list] = {name: [] for name in keep_nodes}
+        for link_name in sorted(keep_links):
+            link = keep_links[link_name]
+            adjacency[link.a].append(link)
+            adjacency[link.b].append(link)
 
         def is_anchor(name: str) -> bool:
             node = topology.node(name)
-            if name in anchor_names or node.is_compute:
+            if name in endpoints or node.is_compute:
                 return True
             if node.internal_bandwidth != float("inf"):
                 return True  # finite crossbars must stay visible
             # First-hop routers (serving a kept host directly) stay: the
             # host's access link is behaviour the application observes.
-            for link_name in adjacency[name]:
-                if topology.node(topology.link(link_name).other(name)).is_compute:
+            for link in adjacency[name]:
+                if topology.node(link.other(name)).is_compute:
                     return True
             return len(adjacency[name]) != 2
 
-        graph = RemosGraph(list(nodes))
-        for name in sorted(keep_nodes):
-            if is_anchor(name):
-                node = topology.node(name)
-                graph.add_node(
-                    RemosNode(
-                        name=name,
-                        kind=node.kind,
-                        internal_bandwidth=node.internal_bandwidth,
-                        compute_speed=node.compute_speed,
-                        memory_bytes=node.memory_bytes,
-                    )
-                )
+        anchors = [name for name in sorted(keep_nodes) if is_anchor(name)]
+        anchor_set = set(anchors)
+        plan_nodes = tuple(RemosNode.of(topology.node(name)) for name in anchors)
 
         # Step 2: walk chains anchor -> anchor, collapsing pass-through
         # network nodes.
-        visited_links: set[str] = set()
-        for start in sorted(keep_nodes):
-            if not is_anchor(start):
-                continue
-            for first_link_name in adjacency[start]:
-                if first_link_name in visited_links:
+        edges: list[_PlanEdge] = []
+        names: set[str] = set()
+        visited: set[str] = set()
+        for start in anchors:
+            for first in adjacency[start]:
+                if first.name in visited:
                     continue
-                chain_links: list[str] = []
-                chain_nodes: list[str] = [start]
-                current = start
-                link_name = first_link_name
+                links, forward = [], []
+                current, link = start, first
                 while True:
-                    chain_links.append(link_name)
-                    link = topology.link(link_name)
-                    current = link.other(current)
-                    chain_nodes.append(current)
-                    if is_anchor(current):
+                    links.append(link)
+                    visited.add(link.name)
+                    step = link.other(current)
+                    forward.append(link.direction(current, step))
+                    current = step
+                    if current in anchor_set:
                         break
-                    next_links = [l for l in adjacency[current] if l != link_name]
-                    assert len(next_links) == 1  # degree-2 non-anchor
-                    link_name = next_links[0]
-                visited_links.update(chain_links)
-                self._add_logical_edge(graph, chain_nodes, chain_links, timeframe, now)
-        return graph
-
-    def _add_logical_edge(
-        self,
-        graph: RemosGraph,
-        chain_nodes: list[str],
-        chain_links: list[str],
-        timeframe: Timeframe,
-        now: float | None = None,
-    ) -> None:
-        topology = self.view.topology
-        start, end = chain_nodes[0], chain_nodes[-1]
-        links = [topology.link(name) for name in chain_links]
-        capacity = min(link.capacity for link in links)
-        latency = sum(link.latency for link in links)
-        # Availability per direction: element-wise min along the chain.
-        available: dict[str, StatMeasure] = {}
-        for chain in (chain_nodes, list(reversed(chain_nodes))):
-            measure: StatMeasure | None = None
-            for a, b in zip(chain, chain[1:]):
-                link = next(
-                    l for l in links if {l.a, l.b} == {a, b}
+                    (link,) = [l for l in adjacency[current] if l is not link]
+                if len(links) == 1:
+                    name = first.name
+                else:
+                    name = f"{start}~{current}"
+                    if name in names:
+                        name = f"{name}~{len(edges)}"  # parallel collapsed chains
+                names.add(name)
+                edges.append(
+                    _PlanEdge(
+                        name=name,
+                        a=start,
+                        b=current,
+                        capacity=min(l.capacity for l in links),
+                        latency=sum(l.latency for l in links),
+                        physical_links=tuple(l.name for l in links),
+                        from_a=_keyed(forward),
+                        from_b=_keyed(d.reverse() for d in reversed(forward)),
+                    )
                 )
-                direction = link.direction(a, b)
-                step = self._available_bandwidth(direction, timeframe, now)
-                measure = step if measure is None else StatMeasure.min_of(measure, step)
-            assert measure is not None
-            available[chain[0]] = measure
-        name = chain_links[0] if len(chain_links) == 1 else f"{start}~{end}"
-        if len(chain_links) > 1 and any(e.name == name for e in graph.edges):
-            name = f"{name}~{len(graph.edges)}"  # parallel collapsed chains
-        graph.add_edge(
-            RemosEdge(
-                name=name,
-                a=start,
-                b=end,
-                capacity=capacity,
-                latency=latency,
-                available=available,
-                physical_links=tuple(chain_links),
-            )
-        )
+        return _GraphPlan(tuple(nodes), "flat", plan_nodes, tuple(edges))
 
-    def _compute_hier_graph(
-        self, nodes: list[str], timeframe: Timeframe
-    ) -> RemosGraph:
+    def _plan_hier(self, nodes: tuple[str, ...]) -> _GraphPlan:
         """The multi-resolution logical graph driven by the collapse tree.
 
         Queried hosts and their ToR groups appear exactly; above them only
@@ -1079,7 +1140,6 @@ class Modeler:
         tree = self.collapse_tree()
         hierarchy = tree.hierarchy
         topology = self.view.topology
-        now = self.now
         by_tor: dict[str, list[str]] = {}
         for name in nodes:
             gid = hierarchy.host_group.get(name)
@@ -1104,41 +1164,20 @@ class Modeler:
                 if gid not in seen:
                     seen.add(gid)
                     included.append(gid)
-        graph = RemosGraph(list(nodes))
-        graph.collapse = "hier"
-        for name in sorted(set(nodes)):
-            node = topology.node(name)
-            graph.add_node(
-                RemosNode(
-                    name=name,
-                    kind=node.kind,
-                    internal_bandwidth=node.internal_bandwidth,
-                    compute_speed=node.compute_speed,
-                    memory_bytes=node.memory_bytes,
-                )
-            )
+        plan_nodes = [RemosNode.of(topology.node(name)) for name in sorted(set(nodes))]
         node_names: dict[str, str] = {}
         for gid in included:
             group = hierarchy.groups[gid]
             label = tree.node_name(gid)
             node_names[gid] = label
             if len(group.members) == 1:
-                member = topology.node(group.members[0])
-                graph.add_node(
-                    RemosNode(
-                        name=label,
-                        kind=member.kind,
-                        internal_bandwidth=member.internal_bandwidth,
-                        compute_speed=member.compute_speed,
-                        memory_bytes=member.memory_bytes,
-                    )
-                )
+                plan_nodes.append(RemosNode.of(topology.node(group.members[0]), label))
             else:
                 # Parallel crossbars sum (any infinite member keeps it inf).
                 internal = sum(
                     topology.node(m).internal_bandwidth for m in group.members
                 )
-                graph.add_node(
+                plan_nodes.append(
                     RemosNode(
                         name=label,
                         kind=NodeKind.NETWORK,
@@ -1148,78 +1187,55 @@ class Modeler:
                     )
                 )
         # Access links stay physical: exact names, capacities, availability.
+        edges: list[_PlanEdge] = []
         for gid in sorted(by_tor):
             tor_label = node_names[gid]
             for host in sorted(set(by_tor[gid])):
                 access = tree.access[host]
                 for link_name in access.links:
                     link = topology.link(link_name)
-                    outbound = link.direction(host, access.switch)
-                    inbound = link.direction(access.switch, host)
-                    graph.add_edge(
-                        RemosEdge(
+                    edges.append(
+                        _PlanEdge(
                             name=link_name,
                             a=host,
                             b=tor_label,
                             capacity=link.capacity,
                             latency=link.latency,
-                            available={
-                                host: self._available_bandwidth(
-                                    outbound, timeframe, now
-                                ),
-                                tor_label: self._available_bandwidth(
-                                    inbound, timeframe, now
-                                ),
-                            },
                             physical_links=(link_name,),
+                            from_a=_keyed([link.direction(host, access.switch)]),
+                            from_b=_keyed([link.direction(access.switch, host)]),
                         )
                     )
+        # One bundle edge rolling up every physical link child -> parent.
         for gid in included:
             parent = hierarchy.groups[gid].parent
             if parent is None or parent not in node_names:
                 continue
-            self._add_bundle_edge(graph, tree, gid, parent, node_names, timeframe, now)
-        return graph
-
-    def _add_bundle_edge(
-        self,
-        graph: RemosGraph,
-        tree: CollapseTree,
-        child: str,
-        parent: str,
-        node_names: dict[str, str],
-        timeframe: Timeframe,
-        now: float,
-    ) -> None:
-        """One logical edge rolling up every physical link child -> parent."""
-        topology = self.view.topology
-        members = tree.bundles[(child, parent)]
-        child_label, parent_label = node_names[child], node_names[parent]
-        up: StatMeasure | None = None
-        down: StatMeasure | None = None
-        for link_name, child_end, parent_end in members:
-            link = topology.link(link_name)
-            u = self._available_bandwidth(
-                link.direction(child_end, parent_end), timeframe, now
+            members = tree.bundles[(gid, parent)]
+            child_label, parent_label = node_names[gid], node_names[parent]
+            edges.append(
+                _PlanEdge(
+                    name=(
+                        members[0][0]
+                        if len(members) == 1
+                        else f"{child_label}~{parent_label}"
+                    ),
+                    a=child_label,
+                    b=parent_label,
+                    capacity=tree.bundle_capacity[(gid, parent)],
+                    latency=tree.bundle_latency[(gid, parent)],
+                    physical_links=tuple(name for name, _, _ in members),
+                    from_a=_keyed(
+                        topology.link(name).direction(child_end, parent_end)
+                        for name, child_end, parent_end in members
+                    ),
+                    from_b=_keyed(
+                        topology.link(name).direction(parent_end, child_end)
+                        for name, child_end, parent_end in members
+                    ),
+                )
             )
-            d = self._available_bandwidth(
-                link.direction(parent_end, child_end), timeframe, now
-            )
-            up = u if up is None else StatMeasure.min_of(up, u)
-            down = d if down is None else StatMeasure.min_of(down, d)
-        assert up is not None and down is not None
-        name = members[0][0] if len(members) == 1 else f"{child_label}~{parent_label}"
-        graph.add_edge(
-            RemosEdge(
-                name=name,
-                a=child_label,
-                b=parent_label,
-                capacity=tree.bundle_capacity[(child, parent)],
-                latency=tree.bundle_latency[(child, parent)],
-                available={child_label: up, parent_label: down},
-                physical_links=tuple(member[0] for member in members),
-            )
-        )
+        return _GraphPlan(tuple(nodes), "hier", tuple(plan_nodes), tuple(edges))
 
 
 class CapacityView:

@@ -453,16 +453,7 @@ class FederatedRemos:
         backbone_topology = pin.backbone_modeler(edge.owner).view.topology
         for gateway in (edge.gateway_a, edge.gateway_b):
             if not graph.has_node(gateway):
-                node = backbone_topology.node(gateway)
-                graph.add_node(
-                    RemosNode(
-                        name=gateway,
-                        kind=node.kind,
-                        internal_bandwidth=node.internal_bandwidth,
-                        compute_speed=node.compute_speed,
-                        memory_bytes=node.memory_bytes,
-                    )
-                )
+                graph.add_node(RemosNode.of(backbone_topology.node(gateway)))
         graph.add_edge(
             RemosEdge(
                 name=f"fed:{edge.a}|{edge.b}",

@@ -1,13 +1,16 @@
 """Property tests: logical topologies stay faithful to physical behaviour."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
 
-from repro.core import Remos, Timeframe
-from repro.net import NodeKind, RoutingTable, Topology
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core import Flow, Remos, Timeframe
+from repro.net import NodeKind, RoutingTable, Topology, fat_tree, leaf_spine
 from repro.util import make_rng
 
 from tests.core.conftest import measured_view
+from tests.core.test_price_memo import sampled_view, tree_topology
 
 
 def random_topology(seed: int) -> tuple[Topology, list[str]]:
@@ -98,3 +101,48 @@ def test_subset_queries_are_consistent(seed):
     assert pair.path_latency(src, dst) == pytest.approx(
         full.path_latency(src, dst), rel=1e-9
     )
+
+
+# -- flows predicted on the graph (Eyraud-Dubois et al.'s validity bar) ------
+
+FABRICS = {
+    "tree": lambda: tree_topology(16),
+    "fat_tree": lambda: fat_tree(4),
+    "leaf_spine": lambda: leaf_spine(4, 2, 4),
+}
+LEVELS = ("minimum", "q1", "median", "q3", "maximum", "mean")
+PROPERTY_TIMEFRAMES = (Timeframe.current(), Timeframe.history(5.0), Timeframe.static())
+
+
+@pytest.fixture(scope="module", params=sorted(FABRICS))
+def fabric(request):
+    topology = FABRICS[request.param]()
+    remos = Remos(sampled_view(topology, random.Random(request.param)))
+    return remos, sorted(host.name for host in topology.compute_nodes)
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_flows_predicted_on_the_graph_match_flow_info(fabric, data):
+    """A single flow predicted on the returned graph gets what ``flow_info``
+    grants it: exactly on the flat graph, never more on a rolled-up one."""
+    remos, hosts = fabric
+    nodes = data.draw(st.lists(st.sampled_from(hosts), min_size=2, max_size=8, unique=True))
+    timeframe = data.draw(st.sampled_from(PROPERTY_TIMEFRAMES))
+    flat = remos.get_graph(nodes, timeframe, collapse="flat")
+    hier = remos.get_graph(nodes, timeframe, collapse="hier")
+    for src in nodes:
+        for dst in nodes:
+            if src == dst:
+                continue
+            granted = remos.flow_info(
+                variable_flows=[Flow(src, dst)], timeframe=timeframe
+            ).variable[0].bandwidth
+            exact, rolled = flat.path_available(src, dst), hier.path_available(src, dst)
+            for level in LEVELS:
+                assert getattr(exact, level) == getattr(granted, level)
+                assert getattr(rolled, level) <= getattr(granted, level)

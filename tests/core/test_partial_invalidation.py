@@ -50,18 +50,34 @@ class TestPartialEviction:
         assert stats.per_cache["bandwidth"]["misses"] == misses_before + 1
 
     def test_graph_cache_survives_sweeps_off_its_links(self):
+        """What a metrics-only sweep leaves of a graph: its plan, and the
+        per-direction estimates of every link the sweep did not touch."""
         view = measured_view(line_topology(), {})
         remos = Remos(view)
+        cold = Remos(view, enable_cache=False)
+        stats = remos.cache_stats
         timeframe = Timeframe.history(30.0)
         first = remos.get_graph(["h1", "h2"], timeframe)  # h1-r1-h2: no trunk
+        assert stats.per_cache["graph_plan"] == {"hits": 0, "misses": 1}
+        misses = stats.per_cache["bandwidth"]["misses"]
+
         view.metrics.record("t23", "r2", 20.0, mbps(50))
         view.record_sweep({("t23", "r2")})
-        assert remos.get_graph(["h1", "h2"], timeframe) is first
-        # A sweep touching a link the graph *does* cross evicts it.
+        again = remos.get_graph(["h1", "h2"], timeframe)
+        assert again.to_dict() == first.to_dict()
+        assert stats.per_cache["graph_plan"] == {"hits": 1, "misses": 1}
+        assert stats.per_cache["bandwidth"]["misses"] == misses
+
+        # A sweep touching a link the graph *does* cross reprices exactly
+        # that direction; the plan still stands.
         link = view.topology.links_at("h1")[0].name
         view.metrics.record(link, "h1", 21.0, mbps(50))
         view.record_sweep({(link, "h1")})
-        assert remos.get_graph(["h1", "h2"], timeframe) is not first
+        moved = remos.get_graph(["h1", "h2"], timeframe)
+        assert moved.to_dict() == cold.get_graph(["h1", "h2"], timeframe).to_dict()
+        assert moved.to_dict() != first.to_dict()
+        assert stats.per_cache["graph_plan"] == {"hits": 2, "misses": 1}
+        assert stats.per_cache["bandwidth"]["misses"] == misses + 1
 
     def test_window_aging_of_untouched_direction_is_detected(self):
         # t12 has only old samples; sweeping t23 alone jumps the evaluation

@@ -128,10 +128,15 @@ class TestFlowInfoSpanTree:
             assert sweep.attributes["collector"] == "snmp"
 
     def test_get_graph_traced_too(self, remos):
-        remos.get_graph(HOSTS, Timeframe.history(WARMUP))
-        trace = obs.get_tracer().last_trace("query.get_graph")
-        assert trace is not None
-        assert trace.attributes["node_count"] == len(HOSTS)
+        timeframe = Timeframe.history(WARMUP)
+        # The span says which path built the graph: a new node order is a
+        # new plan; a repeat (priced or not) reuses it.
+        for nodes, plan in ((HOSTS, "built"), (HOSTS, "reused"), (HOSTS[::-1], "built")):
+            remos.get_graph(nodes, timeframe)
+            trace = obs.get_tracer().last_trace("query.get_graph")
+            assert trace is not None
+            assert trace.attributes["node_count"] == len(HOSTS)
+            assert trace.attributes["plan"] == plan
 
 
 class TestMetricsAndTelemetry:

@@ -6,7 +6,10 @@ epoch and bodies can be compared to the bit.
 """
 
 import json
+import subprocess
+import sys
 from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +111,47 @@ def test_node_body(parked):
     service, address = parked
     expected = service.remos.node_info(CMU_HOSTS[2])
     check(*exchange(address, "GET", f"/node/{CMU_HOSTS[2]}"), expected)
+
+
+GRAPH_BODY = """
+import sys
+from repro.net import TopologyBuilder, fat_tree
+from repro.service import RemosService
+from repro.service.app import Request, handle_request
+from repro.testbed import World
+
+if sys.argv[1] == "tree":
+    builder = TopologyBuilder("tree16").router("core")
+    for leaf in range(4):
+        builder.router(f"leaf{leaf}").link(f"leaf{leaf}", "core", "1Gbps", "0.5ms")
+        for index in range(4 * leaf, 4 * leaf + 4):
+            builder.host(f"h{index}").link(f"h{index}", f"leaf{leaf}", "100Mbps", "0.1ms")
+    topology, nodes = builder.build(), [f"h{i}" for i in (3, 14, 0, 9, 6, 12)]
+else:
+    topology = fat_tree(4)
+    nodes = [host.name for host in topology.compute_nodes][::-1]
+world = World.from_topology(topology, poll_interval=1.0)
+world.net.open_flow(nodes[0], nodes[1], demand=3e7)
+service = RemosService.from_world(world, sweep_interval=3600.0).prepare(5.0)
+response = handle_request(service, Request("GET", "/graph?nodes=" + ",".join(nodes)))
+assert response.status == 200, response.status
+sys.stdout.buffer.write(response.body)
+"""
+
+
+@pytest.mark.parametrize("topology", ["tree", "fat_tree"])
+def test_graph_body_does_not_depend_on_the_hash_seed(topology):
+    """Edge order (and a parallel chain's ``~n`` suffix) used to follow set
+    iteration order, so ``--workers`` processes answered different bytes."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    bodies = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", GRAPH_BODY, topology],
+            capture_output=True,
+            timeout=120,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        bodies.add(proc.stdout)
+    assert len(bodies) == 1
