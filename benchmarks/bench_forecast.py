@@ -21,6 +21,13 @@ Gates:
 * a warm FUTURE query costs at most 60x a warm HISTORY query end to end
   (prediction is more expensive, not pathologically so).
 
+``test_miss_cost`` reports, ungated, what one evaluator miss costs on the
+64-host tree the end-to-end benchmark serves (``benchmarks/e2e/worlds.py``),
+single-threaded, driven the way ``future_churn`` drives it: µs per
+FUTURE(auto) miss and per HISTORY miss, and for FUTURE the three counts
+that say where a miss's backtesting goes — realized-window reads,
+origins the settle loop examines, and backtester lock acquisitions.
+
 ``test_forecast_report`` renders the table and writes
 ``BENCH_forecast.json``; ``bench_history.py`` tracks the ``trend_skill``
 headline (pinball loss of ``last`` / pinball loss of ``auto`` on the
@@ -30,6 +37,7 @@ keep).
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
@@ -41,7 +49,7 @@ import pytest
 from repro.bench import Table
 from repro.core import Flow, Timeframe
 from repro.core.evaluator import TimeframeEvaluator
-from repro.stats.forecast import pinball_loss
+from repro.stats.forecast import Backtester, pinball_loss
 from repro.stats.series import TimeSeries
 
 from benchmarks._experiments import emit
@@ -51,6 +59,9 @@ HORIZON = 10.0
 WINDOW = 60.0
 WARMUP_SAMPLES = 60
 STRIDE = 5
+MISS_SEED = 11
+MISS_SWEEPS = 20
+MISS_QUERIES_PER_SWEEP = 45
 
 _results: dict = {}
 
@@ -161,6 +172,135 @@ def test_future_query_overhead(benchmark):
     assert future < history * 60
 
 
+def _e2e_worlds():
+    """``benchmarks/e2e/worlds.py``, loaded by path (it is not a package)."""
+    path = Path(__file__).resolve().parent / "e2e" / "worlds.py"
+    spec = importlib.util.spec_from_file_location("e2e_worlds", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _CountingLock:
+    """The backtester's lock, counting acquisitions while *active* is set."""
+
+    def __init__(self, lock, counts: dict, active: list):
+        self._lock, self._counts, self._active = lock, counts, active
+
+    def __enter__(self):
+        if self._active[0]:
+            self._counts["locks"] += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+def miss_pass(monkeypatch, timeframe, counted: bool) -> dict:
+    """One single-threaded pass of flow queries under *timeframe*.
+
+    The ``future_churn`` stream in process: all ordered pairs among 2-3
+    hosts of the e2e tree (seeded), :data:`MISS_QUERIES_PER_SWEEP` queries
+    per collector sweep.  Returns evaluator misses and their wall time;
+    with *counted*, also the three FUTURE counts (the instruments cost
+    time, so timed passes run without them).
+    """
+    worlds = _e2e_worlds()
+    world = worlds.build_world("tree64", MISS_SEED)
+    remos = world.start_monitoring(warmup=worlds.WARMUP_S)
+    hosts = worlds.build_tree()[1]
+    rng = random.Random(MISS_SEED)
+    pool = []
+    for i in range(64):
+        picked = rng.sample(hosts, (2, 2, 3)[i % 3])
+        pool.append([Flow(a, b) for a in picked for b in picked if a != b])
+    stats = {"misses": 0, "seconds": 0.0, "windows": 0, "examined": 0, "locks": 0}
+    active = [False]
+    evaluate = TimeframeEvaluator.evaluate
+
+    def timed_evaluate(self, series_key, series, tf, now):
+        if tf.kind is not timeframe.kind:
+            return evaluate(self, series_key, series, tf, now)
+        active[0] = True
+        start = time.perf_counter()
+        try:
+            return evaluate(self, series_key, series, tf, now)
+        finally:
+            stats["seconds"] += time.perf_counter() - start
+            stats["misses"] += 1
+            active[0] = False
+
+    monkeypatch.setattr(TimeframeEvaluator, "evaluate", timed_evaluate)
+    if counted:
+        settle = Backtester._settle
+
+        class CountingSeries:
+            def __init__(self, series):
+                self._series = series
+
+            def window(self, since, until):
+                stats["windows"] += 1
+                return self._series.window(since, until)
+
+        def counted_settle(self, series_key, series, now):
+            # The settle loop touches each matured origin, then stops at
+            # the first one still pending in each lane.
+            for lane in self._lanes.get(series_key, {}).values():
+                matured = sum(1 for origin in lane.origins if not origin.due > now)
+                stats["examined"] += matured + (len(lane.origins) > matured)
+            return settle(self, series_key, CountingSeries(series), now)
+
+        monkeypatch.setattr(Backtester, "_settle", counted_settle)
+        backtester = remos.snapshot().modeler.evaluator.backtester
+        backtester._lock = _CountingLock(backtester._lock, stats, active)
+    step = 0
+    for _ in range(MISS_SWEEPS):
+        world.settle(1.0)
+        for _ in range(MISS_QUERIES_PER_SWEEP):
+            remos.flow_info(variable_flows=pool[step % len(pool)], timeframe=timeframe)
+            step += 1
+    monkeypatch.undo()
+    return stats
+
+
+def test_miss_cost(benchmark, monkeypatch):
+    """Ungated: µs per evaluator miss, and where a FUTURE(auto) miss goes."""
+
+    def experiment():
+        future = Timeframe.future(HORIZON, predictor="auto")
+        history = Timeframe.history(HORIZON)
+        timed = miss_pass(monkeypatch, future, counted=False)
+        counted = miss_pass(monkeypatch, future, counted=True)
+        baseline = miss_pass(monkeypatch, history, counted=False)
+        misses = counted["misses"]
+        return {
+            "future_auto_us_per_miss": timed["seconds"] / timed["misses"] * 1e6,
+            "history_us_per_miss": baseline["seconds"] / baseline["misses"] * 1e6,
+            "future_misses": timed["misses"],
+            "history_misses": baseline["misses"],
+            "window_reads_per_miss": counted["windows"] / misses,
+            "origins_examined_per_miss": counted["examined"] / misses,
+            "lock_acquisitions_per_miss": counted["locks"] / misses,
+        }
+
+    costs = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    _results["miss_cost"] = costs
+    table = Table(
+        "Evaluator miss cost - 64-host e2e tree, single-threaded "
+        f"({MISS_SWEEPS} sweeps x {MISS_QUERIES_PER_SWEEP} queries, seed {MISS_SEED})",
+        ["FUTURE(auto) us/miss", "HISTORY us/miss", "window reads/miss",
+         "origins examined/miss", "lock acquisitions/miss"],
+    )
+    table.add_row(
+        f"{costs['future_auto_us_per_miss']:.0f}",
+        f"{costs['history_us_per_miss']:.0f}",
+        f"{costs['window_reads_per_miss']:.2f}",
+        f"{costs['origins_examined_per_miss']:.2f}",
+        f"{costs['lock_acquisitions_per_miss']:.2f}",
+    )
+    emit("\n" + table.render())
+
+
 def test_forecast_report(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     if "trend" not in _results:
@@ -189,6 +329,7 @@ def test_forecast_report(benchmark):
         # arbiter is than extrapolating the current value on a ramp.
         "trend_skill": trend["last"] / trend["auto"],
         "overhead": _results.get("overhead"),
+        "miss_cost": _results.get("miss_cost"),
     }
     Path(__file__).resolve().parent.parent.joinpath("BENCH_forecast.json").write_text(
         json.dumps(payload, indent=2) + "\n"

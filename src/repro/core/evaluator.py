@@ -26,7 +26,6 @@ accuracy record survives sweeps and snapshot publication.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Hashable
 
 from repro.core.timeframe import Timeframe, TimeframeKind
@@ -47,8 +46,11 @@ def _floored(measure: StatMeasure) -> StatMeasure:
     link holds."""
     if not measure.minimum < 0.0:
         return measure
-    levels = ("minimum", "q1", "median", "q3", "maximum", "mean")
-    return replace(measure, **{name: max(0.0, getattr(measure, name)) for name in levels})
+    return StatMeasure.validated(
+        max(0.0, measure.minimum), max(0.0, measure.q1), max(0.0, measure.median),
+        max(0.0, measure.q3), max(0.0, measure.maximum), max(0.0, measure.mean),
+        measure.n_samples, measure.accuracy,
+    )
 
 
 def current_window_width(series) -> float:
@@ -143,30 +145,27 @@ class TimeframeEvaluator:
             self._predictors[key] = predictor
         return predictor
 
-    def resolve_predictor(self, series_key: Hashable, timeframe: Timeframe) -> str:
-        """The concrete model a FUTURE query will use for *series_key*.
-
-        ``"auto"`` resolves to the candidate with the best measured
-        pinball loss for this (series, horizon), or the registry default
-        before any candidate has earned a record.
-        """
-        if timeframe.predictor != "auto":
-            return timeframe.predictor
-        best = self.backtester.best(
-            series_key, timeframe.horizon, AutoPredictor.CANDIDATES
-        )
-        return best if best is not None else AutoPredictor.DEFAULT
-
     def _evaluate_future(
         self, series_key: Hashable, series, timeframe: Timeframe, now: float
     ) -> StatMeasure:
         backtester = self.backtester
         horizon = timeframe.horizon
+        auto = timeframe.predictor == "auto"
         # Settle first: any prediction whose horizon has elapsed is scored
         # against the samples that actually landed, so the accuracy stamped
-        # below reflects everything known at evaluation time.
-        backtester.settle(series_key, series, now)
-        resolved = self.resolve_predictor(series_key, timeframe)
+        # below reflects everything known at evaluation time.  "auto"
+        # resolves, under the same lock, to the candidate with the best
+        # measured pinball loss for this (series, horizon), or to the
+        # registry default before any candidate has earned a record.
+        if auto:
+            resolved = backtester.settle_best(
+                series_key, series, now, horizon, AutoPredictor.CANDIDATES
+            )
+            if resolved is None:
+                resolved = AutoPredictor.DEFAULT
+        else:
+            backtester.settle(series_key, series, now)
+            resolved = timeframe.predictor
         # One window lookup (and one base summary inside it) serves the
         # answering model and every shadow candidate alike.
         history = HistoryWindow(series, now - timeframe.window, now)
@@ -185,7 +184,8 @@ class TimeframeEvaluator:
             # (matching the predictors' own too-few-samples fallback)
             # instead of failing the whole query.
             measure = last_known(series.latest_value())
-        if timeframe.predictor == "auto":
+        filings = []
+        if auto:
             # Shadow-record every candidate so "auto" accumulates the
             # comparative evidence it arbitrates on; without this only the
             # answering model would ever build a record.
@@ -193,13 +193,17 @@ class TimeframeEvaluator:
                 if name == resolved:
                     continue
                 try:
-                    shadow = forecast(name)
+                    filings.append((name, forecast(name)))
                 except Exception:
                     continue  # a model that cannot fit this series scores nothing
-                backtester.record(series_key, name, horizon, now, shadow)
-        backtester.record(series_key, resolved, horizon, now, measure)
-        measured = backtester.accuracy(series_key, resolved, horizon)
+        filings.append((resolved, measure))
+        # Every candidate lands in one origin, and the answering cell's
+        # accuracy is read back, under one more lock acquisition.
+        measured = backtester.record_origin(series_key, horizon, now, filings, resolved)
         if measured is not None:
             # Earned accuracy replaces the predictor's fixed prior.
-            measure = replace(measure, accuracy=min(1.0, max(0.0, measured)))
+            measure = StatMeasure.validated(
+                measure.minimum, measure.q1, measure.median, measure.q3, measure.maximum,
+                measure.mean, measure.n_samples, min(1.0, max(0.0, measured)),
+            )
         return measure

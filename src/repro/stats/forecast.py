@@ -33,6 +33,7 @@ service's reader threads settle and record concurrently under one lock.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from typing import Hashable, Iterable, Sequence
@@ -97,40 +98,53 @@ def score_prediction(
     values = sorted(float(v) for v in realized)
     if not values:
         raise ValueError("scoring needs at least one realized sample")
-    levels = [
-        (level, level - 1.0, getattr(measure, attr)) for level, attr in QUANTILE_LEVELS
-    ]
-    q1, q3 = measure.q1, measure.q3
-    total = 0.0
-    hits = 0
-    for y in values:
-        for level, below, predicted in levels:
-            diff = y - predicted
-            total += max(level * diff, below * diff)
-        if q1 <= y <= q3:
-            hits += 1
-    coverage = hits / len(values)
-    mid = values[len(values) // 2]
+    return score_candidates(values, (measure,))[0]
+
+
+def score_candidates(
+    values: "list[float]", measures: Iterable[StatMeasure]
+) -> "list[tuple[float, float, float]]":
+    """:func:`score_prediction` of every measure in *measures* against one
+    realized window, given as *values*: sorted, non-empty Python floats.
+
+    The backtester scores a forecast origin's candidates together with
+    this — their window is read and sorted once, and its scale taken once.
+    Each candidate's triple is :func:`score_prediction`'s to the bit: the
+    loss is summed in the same order from ``0.0``, and each term keeps
+    ``max(a, b)``'s rule (``a`` unless ``b > a``, NaN included).
+    """
+    n = len(values)
+    mid = values[n // 2]
     scale = max(abs(mid), max(abs(values[0]), abs(values[-1])) * 0.1, 1e-12)
-    nloss = total / (len(values) * len(QUANTILE_LEVELS)) / scale
-    accuracy = (1.0 / (1.0 + nloss)) * min(1.0, coverage / 0.5)
-    return nloss, coverage, max(0.0, min(1.0, accuracy))
+    terms = n * len(QUANTILE_LEVELS)
+    scores = []
+    for measure in measures:
+        q1, median, q3 = measure.q1, measure.median, measure.q3
+        total = 0.0
+        hits = 0
+        for y in values:
+            # QUANTILE_LEVELS unrolled: max(level * diff, (level - 1) * diff).
+            diff = y - q1
+            first, second = 0.25 * diff, -0.75 * diff
+            total += second if second > first else first
+            diff = y - median
+            first, second = 0.5 * diff, -0.5 * diff
+            total += second if second > first else first
+            diff = y - q3
+            first, second = 0.75 * diff, -0.25 * diff
+            total += second if second > first else first
+            if q1 <= y <= q3:
+                hits += 1
+        coverage = hits / n
+        nloss = total / terms / scale
+        accuracy = (1.0 / (1.0 + nloss)) * min(1.0, coverage / 0.5)
+        scores.append((nloss, coverage, max(0.0, min(1.0, accuracy))))
+    return scores
 
 
 def score_accuracy(measure: StatMeasure, realized: Sequence[float]) -> float:
     """One settled prediction's accuracy in [0, 1] (see :func:`score_prediction`)."""
     return score_prediction(measure, realized)[2]
-
-
-class _Pending:
-    """One outstanding prediction awaiting its horizon."""
-
-    __slots__ = ("made_at", "horizon", "measure")
-
-    def __init__(self, made_at: float, horizon: float, measure: StatMeasure):
-        self.made_at = made_at
-        self.horizon = horizon
-        self.measure = measure
 
 
 class _Cell:
@@ -139,11 +153,42 @@ class _Cell:
     __slots__ = ("pending", "settled", "loss_ewma", "coverage_ewma", "accuracy_ewma")
 
     def __init__(self):
-        self.pending: list[_Pending] = []
+        self.pending = 0  # predictions on file, across the lane's origins
         self.settled = 0
         self.loss_ewma: float | None = None  # normalized (scale-free)
         self.coverage_ewma: float | None = None
         self.accuracy_ewma: float | None = None
+
+
+class _Origin:
+    """Every candidate's prediction made at one instant for one lane.
+
+    ``filed`` maps each cell to ``(sequence, measure)``: the sequence
+    number orders filings across the whole backtester, so a cell's scores
+    fold in the order its predictions were filed.  An origin keeps the
+    horizon it was first filed with.
+    """
+
+    __slots__ = ("made_at", "due", "filed")
+
+    def __init__(self, made_at: float, horizon: float):
+        self.made_at = made_at
+        self.due = made_at + horizon
+        self.filed: dict[_Cell, tuple[int, StatMeasure]] = {}
+
+
+class _Lane:
+    """The origins of one (series, horizon bucket), in maturity order."""
+
+    __slots__ = ("origins", "by_made_at")
+
+    def __init__(self):
+        self.origins: list[_Origin] = []
+        self.by_made_at: dict[float, _Origin] = {}
+
+
+def _due(origin: _Origin) -> float:
+    return origin.due
 
 
 class Backtester:
@@ -154,6 +199,15 @@ class Backtester:
     exactly like its :class:`~repro.core.cachestats.CacheStats`), so the
     accuracy record survives sweeps.  All methods are thread-safe.
 
+    Predictions are filed by *origin*: every candidate's measure made at
+    one ``made_at`` for one ``(series, horizon)`` sits in one
+    :class:`_Origin`, and a series' origins are kept in maturity order.
+    Settling pops only the matured origins, reads and sorts each one's
+    realized window once and scores all of its candidates together
+    (:func:`score_candidates`); scores fold into per-``(series,
+    predictor, horizon)`` cells, which hold the EWMAs and the pending
+    count.  An origin is filed at most once per cell.
+
     Parameters
     ----------
     alpha:
@@ -163,7 +217,8 @@ class Backtester:
         :meth:`best` report it (fewer would let one lucky score dominate).
     max_pending:
         Outstanding predictions kept per cell; recording beyond it drops
-        the oldest (bounded memory under pathological horizons).
+        the cell's earliest-filed one (bounded memory under pathological
+        horizons).
     max_cells:
         Total cells kept; new cells beyond it are not tracked (bounded
         memory under adversarial query mixes).
@@ -181,8 +236,9 @@ class Backtester:
         self._max_pending = max_pending
         self._max_cells = max_cells
         self._cells: dict[tuple, _Cell] = {}
-        self._by_series: dict[Hashable, set[tuple]] = {}
+        self._lanes: dict[Hashable, dict[float, _Lane]] = {}
         self._lock = threading.Lock()
+        self._filings = 0  # sequence numbers for _Origin.filed
         self.recorded = 0
         self.settled = 0
         self.expired = 0
@@ -192,15 +248,7 @@ class Backtester:
         """The scoring key a horizon falls in (exact, rounding float noise)."""
         return round(float(horizon), 6)
 
-    def _cell(self, series_key: Hashable, predictor: str, horizon: float) -> _Cell | None:
-        key = (series_key, predictor, self._horizon_bucket(horizon))
-        cell = self._cells.get(key)
-        if cell is None:
-            if len(self._cells) >= self._max_cells:
-                return None
-            cell = self._cells[key] = _Cell()
-            self._by_series.setdefault(series_key, set()).add(key)
-        return cell
+    # -- filing ---------------------------------------------------------------------
 
     def record(
         self,
@@ -211,16 +259,82 @@ class Backtester:
         measure: StatMeasure,
     ) -> None:
         """Remember a just-issued prediction for later scoring."""
+        self.record_origin(series_key, horizon, made_at, ((predictor, measure),))
+
+    def record_origin(
+        self,
+        series_key: Hashable,
+        horizon: float,
+        made_at: float,
+        filings: Iterable[tuple[str, StatMeasure]],
+        answering: str | None = None,
+    ) -> float | None:
+        """:meth:`record` each ``(predictor, measure)`` of *filings* in order,
+        then return :meth:`accuracy` of the *answering* predictor's cell —
+        under one lock acquisition.  None when *answering* is None."""
+        bucket = self._horizon_bucket(horizon)
         with self._lock:
-            cell = self._cell(series_key, predictor, horizon)
-            if cell is None:
-                return
-            if cell.pending and cell.pending[-1].made_at == made_at:
-                return  # same epoch, same cell: already on file
-            cell.pending.append(_Pending(made_at, horizon, measure))
-            if len(cell.pending) > self._max_pending:
-                del cell.pending[0]
-            self.recorded += 1
+            origin = None
+            for predictor, measure in filings:
+                cell = self._cell((series_key, predictor, bucket))
+                if cell is None:
+                    continue
+                if origin is None:
+                    lane = self._lane(series_key, bucket)
+                    origin = self._origin(lane, made_at, horizon)
+                if cell in origin.filed:
+                    continue  # same origin, same cell: already on file
+                self._filings += 1
+                origin.filed[cell] = (self._filings, measure)
+                cell.pending += 1
+                if cell.pending > self._max_pending:
+                    self._drop_oldest(lane, cell)
+                self.recorded += 1
+            if answering is None:
+                return None
+            return self._accuracy((series_key, answering, bucket))
+
+    def _cell(self, key: tuple) -> _Cell | None:
+        cell = self._cells.get(key)
+        if cell is None:
+            if len(self._cells) >= self._max_cells:
+                return None
+            cell = self._cells[key] = _Cell()
+        return cell
+
+    def _lane(self, series_key: Hashable, bucket: float) -> _Lane:
+        lanes = self._lanes.get(series_key)
+        if lanes is None:
+            lanes = self._lanes[series_key] = {}
+        lane = lanes.get(bucket)
+        if lane is None:
+            lane = lanes[bucket] = _Lane()
+        return lane
+
+    @staticmethod
+    def _origin(lane: _Lane, made_at: float, horizon: float) -> _Origin:
+        origin = lane.by_made_at.get(made_at)
+        if origin is None:
+            origin = lane.by_made_at[made_at] = _Origin(made_at, horizon)
+            # In maturity order: a reader pinned to an older epoch files
+            # behind a newer origin, and its origin goes where it matures.
+            bisect.insort(lane.origins, origin, key=_due)
+        return origin
+
+    @staticmethod
+    def _drop_oldest(lane: _Lane, cell: _Cell) -> None:
+        """Forget *cell*'s earliest-filed prediction (``max_pending``)."""
+        oldest = min(
+            (origin for origin in lane.origins if cell in origin.filed),
+            key=lambda origin: origin.filed[cell][0],
+        )
+        del oldest.filed[cell]
+        cell.pending -= 1
+        if not oldest.filed:
+            lane.origins.remove(oldest)
+            del lane.by_made_at[oldest.made_at]
+
+    # -- settling -------------------------------------------------------------------
 
     def settle(self, series_key: Hashable, series, now: float) -> int:
         """Score every matured prediction for *series_key* against *series*.
@@ -232,50 +346,81 @@ class Backtester:
         Returns the number of predictions settled.
         """
         with self._lock:
-            keys = self._by_series.get(series_key)
-            if not keys:
-                return 0
-            settled = 0
-            for key in keys:
-                cell = self._cells[key]
-                if not cell.pending:
-                    continue
-                remaining: list[_Pending] = []
-                for pending in cell.pending:
-                    if pending.made_at + pending.horizon > now:
-                        remaining.append(pending)
-                        continue
-                    realized = series.window(
-                        pending.made_at, pending.made_at + pending.horizon
-                    )
-                    if realized.size == 0:
-                        self.expired += 1
-                        continue
-                    self._score(cell, pending.measure, realized)
-                    settled += 1
-                cell.pending = remaining
-            self.settled += settled
-            return settled
+            return self._settle(series_key, series, now)
 
-    def _score(self, cell: _Cell, measure: StatMeasure, realized) -> None:
-        scores = score_prediction(measure, realized)
-        if cell.settled:
-            alpha = self._alpha
-            previous = (cell.loss_ewma, cell.coverage_ewma, cell.accuracy_ewma)
-            scores = [alpha * new + (1 - alpha) * old for new, old in zip(scores, previous)]
-        cell.loss_ewma, cell.coverage_ewma, cell.accuracy_ewma = scores
-        cell.settled += 1
+    def settle_best(
+        self,
+        series_key: Hashable,
+        series,
+        now: float,
+        horizon: float,
+        candidates: Iterable[str],
+    ) -> str | None:
+        """:meth:`settle` then :meth:`best`, under one lock acquisition."""
+        with self._lock:
+            self._settle(series_key, series, now)
+            return self._best(series_key, horizon, candidates)
+
+    def _settle(self, series_key: Hashable, series, now: float) -> int:
+        lanes = self._lanes.get(series_key)
+        if not lanes:
+            return 0
+        scored: list[tuple[int, _Cell, tuple[float, float, float]]] = []
+        for lane in lanes.values():
+            origins = lane.origins
+            count = 0  # matured origins are a prefix: look no further than one past it
+            for origin in origins:
+                if origin.due > now:
+                    break
+                count += 1
+            if not count:
+                continue
+            matured = origins[:count]
+            del origins[:count]
+            for origin in matured:
+                del lane.by_made_at[origin.made_at]
+                filed = origin.filed
+                realized = series.window(origin.made_at, origin.due)
+                if realized.size == 0:
+                    self.expired += len(filed)
+                    for cell in filed:
+                        cell.pending -= 1
+                    continue
+                values = sorted(float(v) for v in realized)
+                entries = filed.values()
+                scores = score_candidates(values, [measure for _, measure in entries])
+                for cell, (sequence, _), score in zip(filed, entries, scores):
+                    scored.append((sequence, cell, score))
+        # Fold in filing order (sequence numbers are unique, so the sort
+        # never compares cells): an EWMA depends on the order it is fed.
+        scored.sort()
+        alpha = self._alpha
+        keep = 1 - alpha
+        for _, cell, (loss, coverage, accuracy) in scored:
+            cell.pending -= 1
+            if cell.settled:
+                loss = alpha * loss + keep * cell.loss_ewma
+                coverage = alpha * coverage + keep * cell.coverage_ewma
+                accuracy = alpha * accuracy + keep * cell.accuracy_ewma
+            cell.loss_ewma, cell.coverage_ewma, cell.accuracy_ewma = loss, coverage, accuracy
+            cell.settled += 1
+        self.settled += len(scored)
+        return len(scored)
+
+    # -- reading --------------------------------------------------------------------
 
     def accuracy(
         self, series_key: Hashable, predictor: str, horizon: float
     ) -> float | None:
         """Measured accuracy for the cell, or None before enough evidence."""
         with self._lock:
-            key = (series_key, predictor, self._horizon_bucket(horizon))
-            cell = self._cells.get(key)
-            if cell is None or cell.settled < self._min_settled:
-                return None
-            return cell.accuracy_ewma
+            return self._accuracy((series_key, predictor, self._horizon_bucket(horizon)))
+
+    def _accuracy(self, key: tuple) -> float | None:
+        cell = self._cells.get(key)
+        if cell is None or cell.settled < self._min_settled:
+            return None
+        return cell.accuracy_ewma
 
     def best(
         self, series_key: Hashable, horizon: float, candidates: Iterable[str]
@@ -287,17 +432,22 @@ class Backtester:
         the caller falls back to its default predictor.
         """
         with self._lock:
-            bucket = self._horizon_bucket(horizon)
-            winner: str | None = None
-            winner_loss = math.inf
-            for name in candidates:
-                cell = self._cells.get((series_key, name, bucket))
-                if cell is None or cell.settled < self._min_settled:
-                    continue
-                if cell.loss_ewma is not None and cell.loss_ewma < winner_loss:
-                    winner_loss = cell.loss_ewma
-                    winner = name
-            return winner
+            return self._best(series_key, horizon, candidates)
+
+    def _best(
+        self, series_key: Hashable, horizon: float, candidates: Iterable[str]
+    ) -> str | None:
+        bucket = self._horizon_bucket(horizon)
+        winner: str | None = None
+        winner_loss = math.inf
+        for name in candidates:
+            cell = self._cells.get((series_key, name, bucket))
+            if cell is None or cell.settled < self._min_settled:
+                continue
+            if cell.loss_ewma is not None and cell.loss_ewma < winner_loss:
+                winner_loss = cell.loss_ewma
+                winner = name
+        return winner
 
     def cell_report(
         self, series_key: Hashable, predictor: str, horizon: float
@@ -310,7 +460,7 @@ class Backtester:
                 return None
             return {
                 "settled": cell.settled,
-                "pending": len(cell.pending),
+                "pending": cell.pending,
                 "loss_ewma": cell.loss_ewma,
                 "coverage_ewma": cell.coverage_ewma,
                 "accuracy_ewma": cell.accuracy_ewma,
@@ -319,7 +469,7 @@ class Backtester:
     def to_dict(self) -> dict:
         """Aggregate counters for the telemetry report."""
         with self._lock:
-            pending = sum(len(c.pending) for c in self._cells.values())
+            pending = sum(c.pending for c in self._cells.values())
             scored = [
                 c.accuracy_ewma
                 for c in self._cells.values()

@@ -10,7 +10,7 @@ lower = fewer/noisier samples or a prediction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 try:  # numpy is the optional ``repro[fast]`` accelerator
@@ -85,6 +85,22 @@ def five_number(ordered: "list[float]") -> list[float]:
     return result
 
 
+def _check(minimum, q1, median, q3, maximum, n_samples, accuracy) -> None:
+    """A :class:`StatMeasure`'s invariants; raises ConfigurationError.
+
+    Quartiles may step down by a relative 1e-9 (float noise), NaN passes
+    the ordering check, accuracy lies in [0, 1] and the count is >= 0.
+    """
+    if not minimum <= q1 <= median <= q3 <= maximum:
+        ordered = (minimum, q1, median, q3, maximum)
+        if any(b < a - 1e-9 * max(abs(a), 1.0) for a, b in zip(ordered, ordered[1:])):
+            raise ConfigurationError(f"quartiles must be non-decreasing, got {ordered}")
+    if not 0.0 <= accuracy <= 1.0:
+        raise ConfigurationError(f"accuracy must be in [0,1], got {accuracy}")
+    if n_samples < 0:
+        raise ConfigurationError("n_samples must be non-negative")
+
+
 @dataclass(frozen=True)
 class StatMeasure:
     """Five-number summary + accuracy for one network quantity."""
@@ -99,13 +115,10 @@ class StatMeasure:
     accuracy: float
 
     def __post_init__(self) -> None:
-        ordered = (self.minimum, self.q1, self.median, self.q3, self.maximum)
-        if any(b < a - 1e-9 * max(abs(a), 1.0) for a, b in zip(ordered, ordered[1:])):
-            raise ConfigurationError(f"quartiles must be non-decreasing, got {ordered}")
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ConfigurationError(f"accuracy must be in [0,1], got {self.accuracy}")
-        if self.n_samples < 0:
-            raise ConfigurationError("n_samples must be non-negative")
+        _check(
+            self.minimum, self.q1, self.median, self.q3, self.maximum,
+            self.n_samples, self.accuracy,
+        )
 
     # -- constructors ---------------------------------------------------------
 
@@ -128,6 +141,26 @@ class StatMeasure:
 
             accuracy = quartile_accuracy(len(ordered), *quartiles[1:4])
         return cls(*quartiles, mean=mean, n_samples=len(ordered), accuracy=float(accuracy))
+
+    @classmethod
+    def validated(
+        cls, minimum: float, q1: float, median: float, q3: float, maximum: float,
+        mean: float, n_samples: int, accuracy: float,
+    ) -> "StatMeasure":
+        """The validating constructor for derived measures.
+
+        Runs ``__post_init__``'s three checks (same messages, same
+        tolerance) without the dataclass ``__init__``; ``shifted``,
+        ``degraded``, ``scaled``, ``complement_of`` and the evaluator's
+        floor and accuracy stamp all build through it.
+        """
+        _check(minimum, q1, median, q3, maximum, n_samples, accuracy)
+        self = object.__new__(cls)
+        vars(self).update(
+            minimum=minimum, q1=q1, median=median, q3=q3, maximum=maximum,
+            mean=mean, n_samples=n_samples, accuracy=accuracy,
+        )
+        return self
 
     @classmethod
     def presorted(
@@ -197,36 +230,23 @@ class StatMeasure:
         """Multiply every quantile by *factor* (e.g. utilization -> bits/s)."""
         if factor < 0:
             # Negative scaling flips the ordering.
-            return StatMeasure(
-                minimum=self.maximum * factor,
-                q1=self.q3 * factor,
-                median=self.median * factor,
-                q3=self.q1 * factor,
-                maximum=self.minimum * factor,
-                mean=self.mean * factor,
-                n_samples=self.n_samples,
-                accuracy=self.accuracy,
+            return StatMeasure.validated(
+                self.maximum * factor, self.q3 * factor, self.median * factor,
+                self.q1 * factor, self.minimum * factor, self.mean * factor,
+                self.n_samples, self.accuracy,
             )
-        return replace(
-            self,
-            minimum=self.minimum * factor,
-            q1=self.q1 * factor,
-            median=self.median * factor,
-            q3=self.q3 * factor,
-            maximum=self.maximum * factor,
-            mean=self.mean * factor,
+        return StatMeasure.validated(
+            self.minimum * factor, self.q1 * factor, self.median * factor,
+            self.q3 * factor, self.maximum * factor, self.mean * factor,
+            self.n_samples, self.accuracy,
         )
 
     def shifted(self, offset: float) -> "StatMeasure":
         """Add *offset* to every quantile (e.g. add a latency term)."""
-        return replace(
-            self,
-            minimum=self.minimum + offset,
-            q1=self.q1 + offset,
-            median=self.median + offset,
-            q3=self.q3 + offset,
-            maximum=self.maximum + offset,
-            mean=self.mean + offset,
+        return StatMeasure.validated(
+            self.minimum + offset, self.q1 + offset, self.median + offset,
+            self.q3 + offset, self.maximum + offset, self.mean + offset,
+            self.n_samples, self.accuracy,
         )
 
     def complement_of(self, total: float) -> "StatMeasure":
@@ -235,23 +255,21 @@ class StatMeasure:
         Used-bandwidth quartiles map to available-bandwidth quartiles with
         the order reversed (heaviest use = least available).
         """
-        clamp = lambda v: max(0.0, total - v)
-        return StatMeasure(
-            minimum=clamp(self.maximum),
-            q1=clamp(self.q3),
-            median=clamp(self.median),
-            q3=clamp(self.q1),
-            maximum=clamp(self.minimum),
-            mean=clamp(self.mean),
-            n_samples=self.n_samples,
-            accuracy=self.accuracy,
+        return StatMeasure.validated(
+            max(0.0, total - self.maximum), max(0.0, total - self.q3),
+            max(0.0, total - self.median), max(0.0, total - self.q1),
+            max(0.0, total - self.minimum), max(0.0, total - self.mean),
+            self.n_samples, self.accuracy,
         )
 
     def degraded(self, factor: float) -> "StatMeasure":
         """Copy with accuracy multiplied by *factor* (predictions, merges)."""
         if not 0.0 <= factor <= 1.0:
             raise ConfigurationError(f"degradation factor must be in [0,1], got {factor}")
-        return replace(self, accuracy=self.accuracy * factor)
+        return StatMeasure.validated(
+            self.minimum, self.q1, self.median, self.q3, self.maximum,
+            self.mean, self.n_samples, self.accuracy * factor,
+        )
 
     @staticmethod
     def min_of(a: "StatMeasure", b: "StatMeasure") -> "StatMeasure":

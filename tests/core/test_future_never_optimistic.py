@@ -52,8 +52,10 @@ def test_floor_reaches_what_the_backtester_scores():
         series.add(float(step), mbps(60) if step < 30 else mbps(0.1) * (step % 2))
         evaluator.evaluate(("link", "a"), series, timeframe, float(step))
     pending = [
-        p.measure
-        for cell in evaluator.backtester._cells.values()
-        for p in cell.pending
+        measure
+        for lanes in evaluator.backtester._lanes.values()
+        for lane in lanes.values()
+        for origin in lane.origins
+        for _, measure in origin.filed.values()
     ]
     assert pending and all(m.minimum >= 0.0 for m in pending)
