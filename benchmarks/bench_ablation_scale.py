@@ -28,13 +28,20 @@ then two head-to-heads:
   staged max-min per candidate per quantile).  Both engines must pick
   the same cluster; the new one must be at least 3x faster.
 
+``test_answer_write_cost`` reports (ungated) what writing an answer's
+JSON body costs: the old ``to_dict()`` + ``json.dumps`` against the
+answer's ``to_json()`` writer, for the end-to-end benchmark's
+``flow_steady`` and ``graph_mix`` bodies.
+
 ``test_scale_report`` renders the paper-style table and writes the
 machine-readable trajectory to ``BENCH_scale.json`` at the repo root.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import random
 import time
 from pathlib import Path
 
@@ -439,6 +446,122 @@ def test_array_evaluator_vs_scalar_plan_crossover(benchmark):
     }
 
 
+def _e2e_worlds():
+    """``benchmarks/e2e/worlds.py``, loaded by path (it is not a package)."""
+    path = Path(__file__).resolve().parent / "e2e" / "worlds.py"
+    spec = importlib.util.spec_from_file_location("e2e_worlds", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The e2e pools' body shapes: ``flow_steady`` asks all ordered pairs among
+#: 2/6/10 hosts over a 10 s HISTORY window, ``graph_mix`` a CURRENT graph
+#: over 4/8/16 hosts.
+ANSWER_WRITE_FLOW_HOSTS = (2, 6, 10)
+ANSWER_WRITE_GRAPH_HOSTS = (4, 8, 16)
+ANSWER_WRITE_SEED = 301
+ANSWER_WRITE_BODIES = 8  #: distinct bodies per shape
+
+
+def _floats_in(value) -> list[float]:
+    """Every float of a ``to_dict()`` form, in order."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [number for item in value for number in _floats_in(item)]
+    return []
+
+
+def _dumped(answer) -> str:
+    """The wire's old path: the dict form dumped, non-finite figures as null."""
+    payload = answer.to_dict()
+    try:
+        return json.dumps(payload, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        from repro.service.app import _finite
+
+        return json.dumps(_finite(payload), separators=(",", ":"), allow_nan=False)
+
+
+def _fresh_json(answer) -> str:
+    """``to_json()`` written anew (a graph keeps the body it wrote)."""
+    write = getattr(answer, "_write_json", None)
+    return write() if write is not None else answer.to_json()
+
+
+def test_answer_write_cost(benchmark):
+    """Writing an answer's JSON body — reported, not gated.
+
+    Per body shape of the e2e benchmark (64-host tree, seed 301): µs per
+    body for ``to_dict()`` + ``json.dumps`` (what the service sent before
+    the writers) against ``to_json()`` written fresh (best of 20 per body,
+    mean over the shape's bodies), and bytes, floats and distinct floats
+    per body.  The two must be equal byte for byte.
+    """
+    worlds = _e2e_worlds()
+    world = worlds.build_world("tree64", ANSWER_WRITE_SEED)
+    remos = world.start_monitoring(warmup=worlds.WARMUP_S)
+    hosts = worlds.build_tree()[1]
+    rng = random.Random(ANSWER_WRITE_SEED)
+    history = Timeframe.history(10.0)
+
+    def flows(count):
+        picked = rng.sample(hosts, count)
+        return remos.flow_info(
+            variable_flows=[Flow(a, b) for a in picked for b in picked if a != b],
+            timeframe=history,
+        )
+
+    shapes = [
+        (f"flow_steady {n * (n - 1)} flows", lambda n=n: flows(n))
+        for n in ANSWER_WRITE_FLOW_HOSTS
+    ] + [
+        (f"graph_mix {n} hosts", lambda n=n: remos.get_graph(rng.sample(hosts, n)))
+        for n in ANSWER_WRITE_GRAPH_HOSTS
+    ]
+
+    def best_us(write, answer, reps: int = 20) -> float:
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            write(answer)
+            best = min(best, time.perf_counter() - t0)
+        return best * 1e6
+
+    def experiment():
+        rows = []
+        for name, ask in shapes:
+            answers = [ask() for _ in range(ANSWER_WRITE_BODIES)]
+            for answer in answers:
+                assert _fresh_json(answer) == _dumped(answer)
+            floats = [_floats_in(answer.to_dict()) for answer in answers]
+            old = [best_us(_dumped, answer) for answer in answers]
+            new = [best_us(_fresh_json, answer) for answer in answers]
+            count = len(answers)
+            rows.append(
+                {
+                    "body": name,
+                    "dict_dumps_us": sum(old) / count,
+                    "to_json_us": sum(new) / count,
+                    "speedup": sum(old) / sum(new),
+                    "bytes": sum(len(_dumped(answer)) for answer in answers) / count,
+                    "floats": sum(len(f) for f in floats) / count,
+                    "distinct_floats": sum(len(set(f)) for f in floats) / count,
+                }
+            )
+        return rows
+
+    _results["answer_write"] = {
+        "world": "e2e tree64",
+        "seed": ANSWER_WRITE_SEED,
+        "bodies_per_shape": ANSWER_WRITE_BODIES,
+        "rows": benchmark.pedantic(experiment, rounds=1, iterations=1),
+    }
+
+
 def test_two_collectors_split_the_work(benchmark):
     """The §5 multi-collector idea, measured."""
 
@@ -537,6 +660,14 @@ def test_scale_report(benchmark):
                 f"\n  {row['demands']:>3} demands: scalar plan {row['scalar_plan_ms']:.3f}ms, "
                 f"array {row['array_ms']:.3f}ms ({row['scalar_over_array']:.2f}x)"
             )
+    if "answer_write" in _results:
+        text += "\nAnswer JSON bodies, e2e tree64 (to_dict + dumps vs to_json; reported, not gated):"
+        for row in _results["answer_write"]["rows"]:
+            text += (
+                f"\n  {row['body']:<22} {row['dict_dumps_us']:7.1f}us -> {row['to_json_us']:6.1f}us "
+                f"({row['speedup']:.2f}x)  {row['bytes']:8.0f} B  {row['floats']:5.0f} floats, "
+                f"{row['distinct_floats']:4.1f} distinct"
+            )
     emit("\n" + text)
 
     if sweep:
@@ -547,6 +678,7 @@ def test_scale_report(benchmark):
             "engine_speedup": _results.get("speedup"),
             "vectorized_kernel": _results.get("vectorized"),
             "evaluator_crossover": _results.get("crossover"),
+            "answer_write": _results.get("answer_write"),
         }
         out = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
         out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -30,6 +30,7 @@ from repro.collector.base import Collector, NetworkView
 from repro.core.cachestats import CacheStats
 from repro.core.flows import Flow, FlowInfoResult, FlowQuery
 from repro.core.graph import RemosGraph
+from repro.core.jsontext import JSONWriter, string
 from repro.core.modeler import Modeler
 from repro.core import plan as _plan
 from repro.core import snaparrays as _snaparrays
@@ -106,6 +107,17 @@ class NodeAnswer:
             "cpu_available": self.cpu_available.to_dict(),
             "effective_speed": self.effective_speed,
         }
+
+    def to_json(self) -> str:
+        """:meth:`to_dict` as compact JSON (non-finite figures are ``null``)."""
+        writer = JSONWriter()
+        v, measure = writer.value, writer.measure
+        return (
+            f'{{"name":{string(self.name)},"compute_speed":{v(self.compute_speed)},'
+            f'"memory_bytes":{v(self.memory_bytes)},"cpu_load":{measure(self.cpu_load)},'
+            f'"cpu_available":{measure(self.cpu_available)},'
+            f'"effective_speed":{v(self.effective_speed)}}}'
+        )
 
 
 class Remos:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable
 
+from repro.core.jsontext import JSONWriter, string
 from repro.core.timeframe import Timeframe
 from repro.stats import StatMeasure
 from repro.util.errors import QueryError
@@ -152,6 +153,18 @@ class FlowAnswer:
             "bottleneck": None if self.bottleneck is None else str(self.bottleneck),
         }
 
+    def _json(self, writer: JSONWriter) -> str:
+        """:meth:`to_dict` as compact JSON, numbers through *writer*."""
+        v = writer.value
+        bottleneck = self.bottleneck
+        return (
+            f'{{"label":{string(self.label)},"src":{string(self.flow.src)},'
+            f'"dst":{string(self.flow.dst)},"bandwidth":{writer.measure(self.bandwidth)},'
+            f'"latency_s":{v(self.latency.median)},"hop_count":{v(self.hop_count)},'
+            f'"satisfied":{v(self.satisfied)},'
+            f'"bottleneck":{"null" if bottleneck is None else writer.text(bottleneck)}}}'
+        )
+
     def __str__(self) -> str:
         return f"{self.label}: bw={self.bandwidth} lat={self.latency.median:.3g}s"
 
@@ -192,3 +205,18 @@ class FlowInfoResult:
             "variable": [a.to_dict() for a in self.variable],
             "independent": [a.to_dict() for a in self.independent],
         }
+
+    def to_json(self) -> str:
+        """:meth:`to_dict` as compact JSON, each distinct number formatted
+        once (non-finite figures are ``null``; see :mod:`repro.core.jsontext`)."""
+        writer = JSONWriter()
+
+        def answers(group: list[FlowAnswer]) -> str:
+            return ",".join([answer._json(writer) for answer in group])
+
+        satisfied = "true" if self.all_fixed_satisfied else "false"
+        return (
+            f'{{"timeframe":{string(str(self.timeframe))},"all_fixed_satisfied":{satisfied},'
+            f'"fixed":[{answers(self.fixed)}],"variable":[{answers(self.variable)}],'
+            f'"independent":[{answers(self.independent)}]}}'
+        )

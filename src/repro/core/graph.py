@@ -21,6 +21,7 @@ try:  # numpy is the optional ``repro[fast]`` accelerator
 except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
     np = None
 
+from repro.core.jsontext import JSONWriter, string
 from repro.net import Node, NodeKind
 from repro.stats import StatMeasure
 from repro.util.errors import QueryError
@@ -109,11 +110,17 @@ class RemosGraph:
         self._nodes: dict[str, RemosNode] = {}
         self._edges: dict[str, RemosEdge] = {}
         self._adjacency: dict[str, list[str]] = {}
+        self._json: str | None = None  #: the body :meth:`to_json` wrote, kept
 
     # -- construction (used by the Modeler) ------------------------------------
 
+    def _check_open(self) -> None:
+        if self._json is not None:
+            raise QueryError("logical graph is read-only once written as JSON")
+
     def add_node(self, node: RemosNode) -> None:
         """Insert a node (names unique)."""
+        self._check_open()
         if node.name in self._nodes:
             raise QueryError(f"duplicate logical node {node.name!r}")
         self._nodes[node.name] = node
@@ -121,6 +128,7 @@ class RemosGraph:
 
     def add_edge(self, edge: RemosEdge) -> None:
         """Insert an edge between existing nodes."""
+        self._check_open()
         for endpoint in (edge.a, edge.b):
             if endpoint not in self._nodes:
                 raise QueryError(f"edge endpoint {endpoint!r} not in logical graph")
@@ -294,6 +302,51 @@ class RemosGraph:
                 for e in self.edges
             ],
         }
+
+    def to_json(self) -> str:
+        """:meth:`to_dict` as compact JSON (non-finite figures are ``null``).
+
+        Written once and kept: the modeler memoises a priced graph per
+        epoch and its readers treat it as read-only, so a graph asked for
+        again in the same epoch answers with the same text.  Once written,
+        :meth:`add_node` and :meth:`add_edge` refuse.  Two readers racing
+        on a fresh graph both write the same text; either one is kept.
+        """
+        text = self._json
+        if text is None:
+            text = self._json = self._write_json()
+        return text
+
+    def _write_json(self) -> str:
+        writer = JSONWriter()
+        v, measure = writer.value, writer.measure
+        nodes = ",".join(
+            [
+                f'{{"name":{string(n.name)},"kind":{string(n.kind.value)},'
+                f'"internal_bandwidth":{v(n.internal_bandwidth)},'
+                f'"compute_speed":{v(n.compute_speed)},"memory_bytes":{v(n.memory_bytes)},'
+                f'"aggregate":{v(n.aggregate)},"member_count":{v(n.member_count)}}}'
+                for n in self._nodes.values()
+            ]
+        )
+
+        def edge(e: RemosEdge) -> str:
+            links = ",".join([string(link) for link in e.physical_links])
+            available = ",".join(
+                [f"{string(end)}:{measure(m)}" for end, m in e.available.items()]
+            )
+            return (
+                f'{{"name":{string(e.name)},"a":{string(e.a)},"b":{string(e.b)},'
+                f'"capacity":{v(e.capacity)},"latency_s":{v(e.latency)},'
+                f'"physical_links":[{links}],"available":{{{available}}}}}'
+            )
+
+        edges = ",".join([edge(e) for e in self._edges.values()])
+        query_nodes = ",".join([string(name) for name in self.query_nodes])
+        return (
+            f'{{"query_nodes":[{query_nodes}],"collapse":{string(self.collapse)},'
+            f'"nodes":[{nodes}],"edges":[{edges}]}}'
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

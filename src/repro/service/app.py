@@ -32,7 +32,13 @@ metrics and debug endpoints are never shed.
 
 Client garbage is answered **400** naming the offending field — a body or
 timeframe that is not a JSON object, a flow list that is not a list, a
-non-string ``src``/``dst``, a non-finite number — never 500.
+non-string ``src``/``dst``, a non-finite number, a boolean or an integer
+past float range where a number belongs — never 500.
+
+The three query answers go out as their own ``to_json()`` text (each
+distinct number formatted once per body; a priced graph keeps its body
+for the epoch), byte for byte the ``json.dumps`` of their ``to_dict()``;
+every other body goes through :meth:`Response.json`.
 
 Every JSON body is RFC 8259 JSON: a figure with no finite value — the
 bandwidth of a flow between two tasks on one node, which crosses no
@@ -108,8 +114,10 @@ def _number(
     """``spec[key]`` as a float: finite, or at most infinite if *unbounded*."""
     value = spec.get(key, default)
     try:
+        if isinstance(value, bool):  # float(True) is 1.0
+            raise TypeError
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # a JSON integer past float range
         raise ReproError(f"{key} must be a number, got {value!r}") from None
     if math.isnan(number) or (math.isinf(number) and not unbounded):
         raise ReproError(f"{key} must be finite, got {value!r}")
@@ -382,11 +390,12 @@ def _query_args(args: dict, timeframe: Timeframe | None, degraded: bool) -> dict
     return args
 
 
-def _query_response(payload: dict, degraded: bool) -> Response:
-    """A 200 answer, stamped when admission degraded its timeframe."""
+def _query_response(body: str, degraded: bool) -> Response:
+    """A 200 answer from its ``to_json()`` text, stamped when admission
+    degraded its timeframe (the flag goes last, inside the object)."""
     if degraded:
-        payload["timeframe_degraded"] = True
-    response = Response.json(200, payload)
+        body = body[:-1] + ',"timeframe_degraded":true}'
+    response = Response.text(200, body, "application/json")
     if degraded:
         response.headers["X-Remos-Degraded"] = "future->current"
     return response
@@ -437,7 +446,7 @@ def _route_get(service, url, request: Request) -> Response:
             "graph",
             _query_args({"nodes": nodes}, timeframe, degraded),
             lambda: _query_response(
-                service.get_graph(nodes, timeframe).to_dict(), degraded
+                service.get_graph(nodes, timeframe).to_json(), degraded
             ),
         )
     if url.path.startswith("/node/"):
@@ -451,7 +460,7 @@ def _route_get(service, url, request: Request) -> Response:
             "node",
             _query_args({"host": host}, timeframe, degraded),
             lambda: _query_response(
-                service.node_info(host, timeframe).to_dict(), degraded
+                service.node_info(host, timeframe).to_json(), degraded
             ),
         )
     return Response.json(404, {"error": f"no such path {url.path!r}"})
@@ -510,5 +519,5 @@ def _route_post(service, url, request: Request) -> Response:
             independent_flows=flows("independent"),
             timeframe=timeframe,
         )
-        return _query_response(result.to_dict(), degraded)
+        return _query_response(result.to_json(), degraded)
     return Response.json(404, {"error": f"no such path {url.path!r}"})

@@ -285,6 +285,13 @@ WRONG_SHAPES = [
     ("/flow_info", {"timeframe": {"kind": "history", "window": None}}, "window"),
     ("/node/m-1?timeframe=future&horizon=nan", None, "horizon"),
     ("/graph?nodes=m-1,m-4&timeframe=history&window=inf", None, "window"),
+    # A JSON integer past float range overflows float(); a JSON true is no number.
+    ("/flow_info", {"variable": [{**FLOW, "requested": 10**400}]}, "requested"),
+    ("/flow_info", {"variable": [{**FLOW, "cap": 10**400}]}, "cap"),
+    ("/flow_info", {"timeframe": {"kind": "history", "window": 10**400}}, "window"),
+    ("/flow_info", {"timeframe": {"kind": "future", "horizon": 10**400}}, "horizon"),
+    ("/flow_info", {"variable": [{**FLOW, "requested": True}]}, "requested"),
+    ("/flow_info", {"timeframe": {"kind": "history", "window": True}}, "window"),
 ]
 
 #: More garbage, held only to "never a 5xx".
