@@ -1,12 +1,12 @@
 """Steady-state refresh cost: incremental view pipeline vs full re-merge.
 
 The scenario every long-running Remos deployment sits in: the network is
-discovered, caches are warm, and each collector sweep touches a handful of
-link directions.  Before the incremental rework the master re-merged every
-child view from scratch and the Modeler dropped every cache on the new
-generation, so a *sparse* sweep cost as much as a cold start.  With delta
-journalling the master applies the sweep in place and the Modeler evicts
-only the touched entries.
+discovered, routes and graph plans are warm, and each collector sweep
+touches a handful of link directions.  Before the incremental rework the
+master re-merged every child view from scratch, so a *sparse* sweep cost
+as much as a cold start.  With delta journalling the master applies the
+sweep in place; the Modeler keeps every structural memo and reprices
+just what the re-query crosses, from an empty per-epoch price memo.
 
 The head-to-head drives one scripted 256-host child through sparse
 metrics-only sweeps and, after every sweep, refreshes + re-queries two
@@ -17,8 +17,7 @@ otherwise identical stacks:
   ``Remos``: the legacy rebuild-everything pipeline, kept exactly for this
   baseline.
 
-Both stacks must return **bit-identical** answers every round (the cache
-either serves an exact entry or recomputes; see
+Both stacks must return **bit-identical** answers every round (see
 ``tests/core/test_partial_invalidation.py`` for the randomized version),
 and the incremental stack must sustain at least ``GATE_ROUNDS_PER_S``
 refresh + re-query rounds per second.  The gate is that absolute figure,

@@ -36,7 +36,7 @@ class ViewDelta:
     ``(base_generation, generation]``.  ``touched`` lists the metric-store
     keys — ``(link name, from node)`` directions, with the reserved
     ``"cpu"`` pseudo-link naming hosts — whose series gained samples during
-    the step, so consumers can invalidate exactly those resources.  A
+    the step, so consumers can merge exactly those resources.  A
     ``TOPOLOGY_CHANGED`` delta makes no completeness promise about
     ``touched``; consumers must treat the whole view as new.
     """
@@ -71,11 +71,12 @@ class NetworkView:
 
     Collectors that know *what* a sweep touched call :meth:`record_sweep`
     (or :meth:`record_structure_change`), which also appends a
-    :class:`ViewDelta` to a bounded journal; the Modeler reads the journal
-    via :meth:`deltas_since` to evict only the cache entries a sweep
-    actually invalidated.  Hand-built views may keep calling
-    :meth:`bump_generation` — the resulting journal gap makes consumers
-    fall back to the old drop-everything behaviour, never to staleness.
+    :class:`ViewDelta` to a bounded journal; the
+    :class:`~repro.collector.master.CollectorMaster` reads a child's journal
+    via :meth:`deltas_since` to merge just what the sweep measured.
+    Hand-built views may keep calling :meth:`bump_generation` — the
+    resulting journal gap makes consumers fall back to a full re-merge,
+    never to staleness.
 
     Snapshot publication (``repro.core.snapshot``) builds an immutable copy
     of a live view and calls :meth:`freeze` on it: every later attribute

@@ -84,17 +84,6 @@ class MetricsStore:
         """True once at least one sample exists for the direction."""
         return (link_name, from_node) in self._series
 
-    def version(self, link_name: str, from_node: str) -> int:
-        """Monotone per-resource metric stamp for one direction.
-
-        0 while the direction has never been measured; afterwards the
-        underlying series' sample-append counter.  Series objects are
-        shared by reference across merged stores, so every holder reads
-        one consistent stamp in O(1).
-        """
-        series = self._series.get((link_name, from_node))
-        return 0 if series is None else series.version
-
     def keys(self) -> list[tuple[str, str]]:
         """All (link name, from node) directions with measurements."""
         return list(self._series)

@@ -58,9 +58,7 @@ def current_window_width(series) -> float:
 
     Ten average sample spacings (at least ten seconds): wide enough to
     judge how stable the latest reading is, narrow enough to stay
-    "current".  Shared with the cache-validation fast path
-    (``Modeler._window_unmoved``), which must agree on the width to prove
-    a CURRENT entry's window did not move.
+    "current".  Bandwidth and CPU series share it.
     """
     return 10 * max(1.0, series.span() / max(1, len(series)))
 

@@ -7,23 +7,17 @@ logical topology" (§5).  This module implements the first two tasks; flow
 satisfaction lives in :mod:`repro.core.api` on top of the availability
 estimates produced here.
 
-Estimates are memoised under a **generation stamp**: every answer cached
-here is keyed on the view's ``(generation, latest metric timestamp)``, so a
-cached answer is exact for its generation and never served across
-generations.  Invalidation is **fine-grained**: when the view can account
-for a generation step with metrics-only :class:`~repro.collector.ViewDelta`
-entries, only the touched resources are evicted — per-direction estimates
-additionally carry a ``(series version, evaluation time)`` stamp proving
-the summarised window did not move, so untouched entries survive sweeps
-bit-for-bit.  Structural deltas (or journal gaps) fall back to the old
-drop-everything behaviour.
-
-On top of the validated estimates sits the **price memo**: per timeframe,
-what each allocation resource offers (capacity minus external use) for
-the current stamp.  A resource is priced once per epoch — one entry
-validation, one ``complement_of`` — and every later read by any query
-path (array evaluator, lazy capacity views, admission, the federation
-pin, graph annotation) is a plain dict lookup.
+Estimates are memoised per **epoch** in one place, the **price memo**:
+per timeframe, what each allocation resource offers (capacity minus
+external use) for the view's freshness stamp ``(generation, latest metric
+timestamp)``.  A resource is priced once per epoch — one series summary,
+one ``complement_of`` — and every later read by any query path (array
+evaluator, lazy capacity views, admission, the federation pin, graph
+annotation) is a plain dict lookup.  CPU loads and priced graphs share
+the same tables.  Nothing dynamic crosses epochs: a fork starts with an
+empty memo and a Modeler over a live view drops its memo whenever the
+stamp moves, so the collectors' sweeps alone decide how fresh an answer
+is.
 
 Logical graphs split the same way: a **graph plan** (the route union,
 the anchors, the collapsed edges and the link directions each edge end
@@ -44,11 +38,7 @@ from repro.collector.base import NetworkView
 from repro.collector.metrics import CPU_PSEUDO_LINK
 from repro.core.cachestats import CacheStats
 from repro.core.collapse import CollapseTree
-from repro.core.evaluator import (
-    UNMEASURED_ACCURACY,
-    TimeframeEvaluator,
-    current_window_width,
-)
+from repro.core.evaluator import UNMEASURED_ACCURACY, TimeframeEvaluator
 from repro.core.graph import RemosEdge, RemosGraph, RemosNode
 from repro.core.timeframe import Timeframe, TimeframeKind
 from repro.net import Hierarchy, HierarchyRefusal, LinkDirection, NodeKind, RoutingTable
@@ -73,24 +63,6 @@ _MAX_PRICED_TIMEFRAMES = 8
 _MAX_GRAPH_PLANS = 256
 
 _log = obs.get_logger("repro.core.modeler")
-
-
-class _Entry:
-    """One cached per-resource measure, stamped for incremental validity.
-
-    ``version`` is the backing series' sample-append counter at compute
-    time; ``now_used`` is the evaluation time the summary window was
-    anchored at.  A hit is served only when the version still matches and
-    (for timeframes whose answer depends on "now") the window provably did
-    not move — see ``Modeler._window_unmoved``.
-    """
-
-    __slots__ = ("version", "now_used", "measure")
-
-    def __init__(self, version: int, now_used: float, measure: StatMeasure):
-        self.version = version
-        self.now_used = now_used
-        self.measure = measure
 
 
 class _PlanEdge(NamedTuple):
@@ -183,13 +155,11 @@ class Modeler:
         #: The shared timeframe ladder.  Per-epoch object (predictor memo),
         #: but its Backtester is carried across forks like ``stats``.
         self.evaluator = evaluator if evaluator is not None else TimeframeEvaluator()
-        self._bandwidth_cache: dict[tuple, _Entry] = {}
-        self._cpu_cache: dict[tuple, _Entry] = {}
         # The price memo, timeframe -> resource key -> what it offers: valid
         # for ``_cache_stamp`` only, so it is replaced wholesale whenever the
-        # stamp moves and never carried across forks.  Priced logical graphs
-        # live in the same tables under ``("graph", plan key)``, so they are
-        # dropped with the prices they were assembled from.
+        # stamp moves and never carried across forks.  CPU loads and priced
+        # logical graphs live in the same tables under ``("cpu", host)`` and
+        # ``("graph", plan key)``, so they are dropped with the prices.
         self._prices: dict[Timeframe, dict[Hashable, StatMeasure]] = {}
         # Serialises creation of what an epoch's readers share: a
         # timeframe's price table, the snapshot arrays.
@@ -222,7 +192,7 @@ class Modeler:
         # structural memos must be revalidated even with caching disabled.
         self._seen_structure = view.structure_generation
 
-    # -- generation-stamped cache plumbing --------------------------------------
+    # -- the per-epoch memo ------------------------------------------------------
 
     def _view_stamp(self) -> tuple[int, float]:
         """The freshness token cached answers are valid for.
@@ -231,100 +201,39 @@ class Modeler:
         metric timestamp (O(1)) rides along so a hand-mutated view that
         records newer samples without bumping generations is still noticed.
         A sample recorded by hand at or before the newest timestamp with no
-        bump is not: the price memo trusts this stamp alone and serves its
-        old price until the stamp next moves (``docs/PERFORMANCE.md`` §2).
+        bump is not: the memo trusts this stamp alone and serves its old
+        price until the stamp next moves (``docs/PERFORMANCE.md`` §2).
         """
         return (self.view.generation, self.view.metrics.latest_timestamp())
 
-    def _refresh_caches(self, force: bool = False) -> None:
-        """Synchronise caches with the view's stamps.
-
-        A metrics-only delta chain evicts just the touched entries.
-        Anything the journal cannot vouch for — a structural delta, a gap,
-        a hand bump, a rebind — drops every dynamic cache as before.  The
-        price memo is exact for one stamp only and is dropped either way.
-        """
+    def _refresh_caches(self) -> None:
+        """Drop the memo once the (live) view's stamp has moved."""
         stamp = self._view_stamp()
-        if not force and stamp == self._cache_stamp:
+        if stamp == self._cache_stamp:
             return
-        self._prices = {}
-        chain = None
-        if not force and stamp[0] != self._cache_stamp[0]:
-            chain = self.view.deltas_since(self._cache_stamp[0])
-        if chain is not None and not any(delta.is_structural for delta in chain):
-            self._cache_stamp = stamp
-            self._evict_touched(chain)
-            return
+        self._count_invalidation(self.view.structure_generation)
         self.sync_structure()
-        if chain is not None:
-            cause = "structural"
-        else:
-            cause = "rebind" if force else "generation"
-        if self._bandwidth_cache or self._cpu_cache:
-            self.stats.invalidated()
-            obs.inc(
-                "remos_cache_invalidations_by_cause_total",
-                help="Cache-dropping events by cause",
-                cause=cause,
-            )
-            if _log.enabled_for("debug"):
-                _log.debug(
-                    "cache_invalidated",
-                    old_stamp=self._cache_stamp,
-                    new_stamp=stamp,
-                    cause=cause,
-                    entries=len(self._bandwidth_cache) + len(self._cpu_cache),
-                )
-        self._bandwidth_cache.clear()
-        self._cpu_cache.clear()
+        self._prices = {}
         self._cache_stamp = stamp
 
-    def _evict_touched(self, chain) -> None:
-        """Evict exactly the cache entries a metrics-only chain invalidated."""
-        touched: set[tuple[str, str]] = set()
-        for delta in chain:
-            touched |= delta.touched
-        cpu_hosts = {src for link, src in touched if link == CPU_PSEUDO_LINK}
-        directions = {key for key in touched if key[0] != CPU_PSEUDO_LINK}
-        evicted = 0
-        if directions:
-            for key in [
-                key
-                for key in self._bandwidth_cache
-                if (key[0][0], key[0][1]) in directions
-            ]:
-                del self._bandwidth_cache[key]
-                evicted += 1
-        if cpu_hosts:
-            for key in [key for key in self._cpu_cache if key[0] in cpu_hosts]:
-                del self._cpu_cache[key]
-                evicted += 1
-        self.stats.partially_invalidated(evicted)
+    def _count_invalidation(self, structure: int) -> None:
+        """Count one invalidation if this epoch's memo holds anything;
+        *structure*, the next epoch's structure level, names the cause."""
+        if not self._prices:
+            return
+        self.stats.invalidated()
         obs.inc(
             "remos_cache_invalidations_by_cause_total",
             help="Cache-dropping events by cause",
-            cause="partial",
+            cause="generation" if structure == self._seen_structure else "structural",
         )
-        obs.inc(
-            "remos_cache_entries_evicted_total",
-            evicted,
-            help="Cache entries evicted by delta-driven partial invalidations",
-        )
-        if _log.enabled_for("debug"):
-            _log.debug(
-                "cache_partially_invalidated",
-                touched=len(touched),
-                evicted=evicted,
-                deltas=len(chain),
-            )
 
     def sync_structure(self) -> None:
         """Revalidate routing after an in-place structure change.
 
-        Collectors since the incremental rework mutate the view's topology
-        **in place** (same view object, new ``structure_generation``), so
-        the rebind path never sees them; every routing-dependent entry
-        point calls this instead.  O(1) while the structure level is
+        Collectors mutate the view's topology **in place** (same view
+        object, new ``structure_generation``); every routing-dependent
+        entry point calls this.  O(1) while the structure level is
         unchanged.  The routing table is kept when the rebuilt topology is
         structurally identical (rebased onto the new object), else rebuilt,
         dropping the route-resource memo with it.  Graph plans are dropped
@@ -359,136 +268,24 @@ class Modeler:
         elif self._collapse.topology is not self.view.topology:
             self._collapse.rebase(self.view.topology)
 
-    def _validate_entry(
-        self,
-        entry: _Entry,
-        link_name: str,
-        from_node: str,
-        timeframe: Timeframe,
-        now: float,
-    ) -> StatMeasure | None:
-        """The cached measure if still exact at *now*, else None.
-
-        Exactness needs two things: the backing series has not grown
-        (version stamp), and — when the evaluation time moved without the
-        series growing, i.e. some *other* resource was swept — this entry's
-        summary window did not shift over any retained sample.  A validated
-        entry is restamped to *now*, keeping later checks O(1).
-        """
-        if entry.version != self.view.metrics.version(link_name, from_node):
-            return None
-        if now != entry.now_used:
-            if not self._window_unmoved(
-                link_name, from_node, timeframe, entry.now_used, now
-            ):
-                return None
-            entry.now_used = now
-        return entry.measure
-
-    def _window_unmoved(
-        self,
-        link_name: str,
-        from_node: str,
-        timeframe: Timeframe,
-        now_used: float,
-        now: float,
-    ) -> bool:
-        """True when moving evaluation time ``now_used -> now`` provably
-        leaves the *unchanged* series' summary for *timeframe* intact.
-
-        FUTURE predictions are anchored at "now", so they never survive a
-        time shift — the evaluation clock advancing (any series swept)
-        moves the forecast interval, and the cached measure must be
-        recomputed even though this series gained no samples.  CURRENT and
-        HISTORY answers depend only on the latest value (unchanged by
-        assumption) and a trailing window's contents; the window's width
-        is fixed given the series (CURRENT's accuracy window is
-        ``current_window_width`` for every series, CPU included, since the
-        accuracy-unification), so the summary changes only if a sample
-        ages out — i.e. some retained sample falls in
-        ``[old floor, new floor)``.
-        """
-        kind = timeframe.kind
-        if kind is TimeframeKind.STATIC:
-            return True
-        if kind is TimeframeKind.FUTURE:
-            return False
-        metrics = self.view.metrics
-        if not metrics.has_series(link_name, from_node):
-            return True  # assumed-idle constant; time-independent
-        series = metrics.series(link_name, from_node)
-        if series.empty:
-            return True
-        if kind is TimeframeKind.CURRENT:
-            width = current_window_width(series)
-        else:  # HISTORY
-            width = timeframe.window
-        return not series.has_sample_in(now_used - width, now - width)
-
-    def rebind(self, view: NetworkView) -> None:
-        """Adopt a refreshed collector view without rebuilding the world.
-
-        The routing table survives whenever the topology is unchanged —
-        the common case, since collectors mutate metrics in place between
-        discovery sweeps — and all dynamic caches are dropped
-        unconditionally (the new view object may carry an equal generation
-        number yet different data).
-        """
-        if view is self.view:
-            return
-        with obs.span("modeler.refresh") as sp:
-            rebuilt = not self.routing.is_valid_for(view.topology)
-            if rebuilt:
-                self._replace_routing(view.topology)
-            elif self.routing.topology is not view.topology:
-                # Structurally identical rebuild: keep the table, re-point
-                # it so later validity checks are O(1) identity again.
-                self.routing.rebase(view.topology)
-            self.view = view
-            self._sync_graphs()
-            self._seen_structure = view.structure_generation
-            self._refresh_caches(force=True)
-            if sp:
-                sp.set(generation=view.generation, routing_rebuilt=rebuilt)
-        if _log.enabled_for("info"):
-            _log.info(
-                "view_rebound",
-                generation=view.generation,
-                routing_rebuilt=rebuilt,
-                nodes=len(view.topology.nodes),
-            )
-
     def fork(self, view: NetworkView) -> "Modeler":
-        """A successor Modeler bound to *view*, inheriting warm caches.
+        """A successor Modeler bound to *view*: shared structure, empty memo.
 
         Snapshot publication calls this **writer-side**: the previous
         epoch's Modeler stays untouched (readers may still be traversing
-        it) while the child adopts its memoised state against the freshly
-        frozen *view*.  Semantics mirror :meth:`rebind` + the incremental
-        eviction a first query used to perform, moved before publication:
+        it) while the child is assembled against the freshly frozen *view*.
 
         * the routing table (and the structural route-resource memo) is
           **shared** with the parent when the topology is structurally
           unchanged — rebased for the O(1) identity fast path — and rebuilt
-          (counting ``stats.routing_rebuilds``) otherwise; the graph plans
-          are shared while the structure level is unchanged too;
-        * per-entry cache wrappers are **copied** (the immutable measures
-          inside are shared): entry revalidation restamps
-          ``now_used`` in place, and two epochs evaluate at different
-          "now"s, so wrappers must never be shared across snapshots;
-        * when *view*'s journal can vouch for the step as metrics-only,
-          the copied caches are reconciled immediately (same partial
-          eviction as before); otherwise the child starts cold, exactly
-          like the legacy rebind;
-        * the price memo is a per-epoch fact and starts empty: the first
-          read of a resource revalidates its carried estimate once, and
-          the child's stamp never moves again, so that price stands for
-          the epoch.  The structural half of the array materialisation
-          (interned keys, route rows) is shared with the routing table.
-
-        Readers of the published child therefore only ever *fill* caches —
-        no eviction, no restamping hazards — because a frozen view's stamp
-        never moves again.
+          (counting ``stats.routing_rebuilds``) otherwise; the graph plans,
+          the collapse tree and the structural half of the array
+          materialisation (interned keys, route rows) are shared on the
+          same terms, and the evaluator's Backtester always is;
+        * every dynamic memo starts empty: the first read of a resource in
+          the child's epoch prices it from the frozen series, and since a
+          frozen view's stamp never moves, readers of the published child
+          only ever *fill* its memo.
         """
         child = Modeler.__new__(Modeler)
         child.view = view
@@ -537,42 +334,8 @@ class Modeler:
         else:
             child._graph_plans = _PlanMemo()
         child._seen_structure = view.structure_generation
-        child._cache_stamp = self._cache_stamp
-
-        stamp = (view.generation, view.metrics.latest_timestamp())
-        carry = self.enable_cache and stamp == self._cache_stamp
-        chain = None
-        if self.enable_cache and not carry and stamp[0] != self._cache_stamp[0]:
-            chain = view.deltas_since(self._cache_stamp[0])
-            carry = chain is not None and not any(d.is_structural for d in chain)
-        if carry:
-            # Readers of this (still published) epoch keep filling these
-            # dicts while the writer forks.  dict.copy() is one C call;
-            # list(items()) allocates per item, and any allocation can start
-            # a collection whose finalizers yield the GIL mid-iteration.
-            child._bandwidth_cache = {
-                key: _Entry(entry.version, entry.now_used, entry.measure)
-                for key, entry in self._bandwidth_cache.copy().items()
-            }
-            child._cpu_cache = {
-                key: _Entry(entry.version, entry.now_used, entry.measure)
-                for key, entry in self._cpu_cache.copy().items()
-            }
-            # Reconcile against the frozen stamps now, so the partial
-            # eviction (and its stats) happens before publication.
-            child._refresh_caches()
-        else:
-            child._bandwidth_cache = {}
-            child._cpu_cache = {}
-            child._cache_stamp = stamp
-            if self._bandwidth_cache or self._cpu_cache:
-                cause = "structural" if chain is not None else "generation"
-                self.stats.invalidated()
-                obs.inc(
-                    "remos_cache_invalidations_by_cause_total",
-                    help="Cache-dropping events by cause",
-                    cause=cause,
-                )
+        child._cache_stamp = child._view_stamp()
+        self._count_invalidation(view.structure_generation)
         return child
 
     @property
@@ -596,35 +359,12 @@ class Modeler:
     def _used_bandwidth(
         self, direction: LinkDirection, timeframe: Timeframe, now: float | None
     ) -> StatMeasure:
-        """Memoised estimate; *now* is hoisted by per-sweep callers."""
+        """One series summary (a cache miss); *now* is hoisted by per-sweep
+        callers.  Delegates to the shared evaluator (:mod:`repro.core.evaluator`)."""
         if timeframe.kind is TimeframeKind.STATIC:
             return StatMeasure.constant(0.0)
-        link_name, from_node = direction.link.name, direction.src
         if self.enable_cache:
-            self._refresh_caches()
-            if now is None:
-                now = self.now
-            key = (direction.key, timeframe)
-            entry = self._bandwidth_cache.get(key)
-            if entry is not None:
-                measure = self._validate_entry(
-                    entry, link_name, from_node, timeframe, now
-                )
-                if measure is not None:
-                    self.stats.hit("bandwidth")
-                    return measure
             self.stats.miss("bandwidth")
-        measure = self._compute_used_bandwidth(direction, timeframe, now)
-        if self.enable_cache:
-            self._bandwidth_cache[(direction.key, timeframe)] = _Entry(
-                self.view.metrics.version(link_name, from_node), now, measure
-            )
-        return measure
-
-    def _compute_used_bandwidth(
-        self, direction: LinkDirection, timeframe: Timeframe, now: float | None
-    ) -> StatMeasure:
-        """Delegate to the shared evaluator (see :mod:`repro.core.evaluator`)."""
         metrics = self.view.metrics
         link_name, from_node = direction.link.name, direction.src
         series = (
@@ -697,7 +437,7 @@ class Modeler:
         return measures
 
     def _price(self, key: Hashable, timeframe: Timeframe, direction, now) -> StatMeasure:
-        """One slot's value: for a direction, one validation + one complement."""
+        """One slot's value: for a direction, one summary + one complement."""
         if direction is None:
             topology = self.view.topology
             try:
@@ -725,35 +465,20 @@ class Modeler:
             raise QueryError(f"cpu_load is only defined for compute nodes, not {host!r}")
         if timeframe.kind is TimeframeKind.STATIC:
             return StatMeasure.constant(0.0)
+        # Memoised per epoch: node_info queries ask for the same hosts again
+        # and again between two sweeps.
+        measures = self._price_table(timeframe)
+        key = (CPU_PSEUDO_LINK, host)
+        load = measures.get(key)
+        if load is not None:
+            self.stats.hit("cpu")
+            return load
         if self.enable_cache:
-            self._refresh_caches()
-            now = self.now
-            key = (host, timeframe)
-            entry = self._cpu_cache.get(key)
-            if entry is not None:
-                measure = self._validate_entry(
-                    entry, CPU_PSEUDO_LINK, host, timeframe, now
-                )
-                if measure is not None:
-                    self.stats.hit("cpu")
-                    return measure
             self.stats.miss("cpu")
-        measure = self._compute_cpu_load(host, timeframe)
-        if self.enable_cache:
-            self._cpu_cache[(host, timeframe)] = _Entry(
-                self.view.metrics.version(CPU_PSEUDO_LINK, host), self.now, measure
-            )
-        return measure
-
-    def _compute_cpu_load(self, host: str, timeframe: Timeframe) -> StatMeasure:
-        """Delegate to the shared evaluator: CPU series ride the same
-        ladder as bandwidth (including the unified CURRENT accuracy rule
-        and the forecast plane) under the CPU pseudo-link key."""
         metrics = self.view.metrics
         series = metrics.cpu_series(host) if metrics.has_cpu_series(host) else None
-        return self.evaluator.evaluate(
-            (CPU_PSEUDO_LINK, host), series, timeframe, self.now
-        )
+        load = self.evaluator.evaluate(key, series, timeframe, self.now)
+        return measures.setdefault(key, load)
 
     def available_capacities(
         self, timeframe: Timeframe, quantile: str = "median"

@@ -18,12 +18,13 @@ The protocol (documented in full in ``docs/CONCURRENCY.md``):
   series' append-only sample storage, so no sample is copied), shares the
   topology by reference
   (collectors replace topology objects, never mutate them structurally in
-  place), copies the delta journal, freezes the view, and forks the
-  previous epoch's Modeler so delta-driven cache eviction happens *before*
-  publication.  Purely structural state — the routing table and the
-  hierarchical :class:`~repro.core.collapse.CollapseTree` — is immutable
-  per epoch and therefore *shared by reference* across forks while the
-  topology is structurally unchanged (sharing is its copy-on-write: a
+  place), freezes the view, and forks the previous epoch's Modeler with an
+  empty price memo: each epoch prices what its readers ask for from its
+  own frozen series, and nothing dynamic carries over.  Purely structural
+  state — the routing table and the hierarchical
+  :class:`~repro.core.collapse.CollapseTree` — is immutable per epoch and
+  therefore *shared by reference* across forks while the topology is
+  structurally unchanged (sharing is its copy-on-write: a
   structural change builds a fresh tree for the new epoch while the old
   epoch keeps traversing its own).  The finished snapshot is installed
   with one attribute store — atomic under the GIL — so readers switch
@@ -33,13 +34,12 @@ The protocol (documented in full in ``docs/CONCURRENCY.md``):
   the snapshot once per query and use it for everything (topology, routes,
   capacities).  A reader can never observe a partial sweep because nothing
   reachable from a snapshot is ever written again; within one epoch the
-  Modeler's caches only *fill*, and concurrent fills insert bit-identical
+  Modeler's memo only *fills*, and concurrent fills insert bit-identical
   values (the frozen view's stamp never moves).
 
 Answer preservation: a query against snapshot N is bit-identical to the
 single-threaded answer at generation N, because the frozen clone preserves
-every sample, version counter, generation stamp and journal entry the live
-view had at publication.
+every sample and generation stamp the live view had at publication.
 """
 
 from __future__ import annotations
@@ -207,7 +207,6 @@ class SnapshotPublisher:
                 generation=view.generation,
                 structure_generation=view.structure_generation,
             )
-            frozen_view._journal.extend(view._journal)
             frozen_view.freeze()
             previous = self._current
             if previous is None:

@@ -59,6 +59,9 @@ class TimeSeries:
         self._stop = 0
         self._version = 0
         self._frozen = False
+        # The latest frozen clone; it stands for the series until the
+        # version moves past it.
+        self._clone: "TimeSeries | None" = None
 
     def __len__(self) -> int:
         return self._stop - self._start
@@ -67,17 +70,18 @@ class TimeSeries:
         # Ship only the retained range: the shared columns may also hold
         # evicted samples and, for a clone, the source's later appends.
         times, values = self._columns(-float("inf"), float("inf"))
-        return {**self.__dict__, "_times": times, "_values": values, "_start": 0, "_stop": len(times)}
+        return {
+            **self.__dict__, "_times": times, "_values": values,
+            "_start": 0, "_stop": len(times), "_clone": None,
+        }
 
     @property
     def version(self) -> int:
         """Samples ever appended (monotone; survives eviction).
 
-        The Modeler stamps per-resource cache entries with this counter, so
-        a cached estimate is valid exactly while the series it summarised
-        has not grown.  Shared series objects (the collector master adopts
-        child series by reference) carry one counter visible to every
-        holder.
+        A frozen clone stands for the series while this is unchanged.
+        Shared series objects (the collector master adopts child series by
+        reference) carry one counter visible to every holder.
         """
         return self._version
 
@@ -96,13 +100,20 @@ class TimeSeries:
 
         Published snapshots hold these: the clone shares the source's
         columns and pins its own ``(start, stop)``, so the live collector
-        keeps appending without the snapshot ever observing it.  The
-        version counter is preserved so cached estimates stamped against
-        the source validate identically against the clone.
+        keeps appending without the snapshot ever observing it.  A series
+        nobody appended to since its last clone hands out that clone
+        again (so publishing after a sparse sweep builds clones only for
+        the series it measured), and a frozen series is its own clone.
         """
-        clone = TimeSeries.__new__(TimeSeries)
-        clone.__dict__.update(self.__dict__)
-        clone._frozen = True
+        if self._frozen:
+            return self
+        clone = self._clone
+        if clone is None or clone._version != self._version:
+            clone = TimeSeries.__new__(TimeSeries)
+            clone.__dict__.update(self.__dict__)
+            clone._frozen = True
+            clone._clone = None
+            self._clone = clone
         return clone
 
     def add(self, time: float, value: float) -> None:
@@ -170,18 +181,6 @@ class TimeSeries:
     def values(self):
         """Every retained value, oldest first."""
         return self._vector(self._values, self._start, self._stop)
-
-    def has_sample_in(self, since: float, before: float) -> bool:
-        """True if any retained sample falls in the half-open ``[since, before)``.
-
-        The Modeler's incremental cache asks this to decide whether moving a
-        summary window forward in time changed its contents (samples ageing
-        out of the old window live in exactly this interval).  One
-        bisection: the first sample at or after *since* is in the interval
-        or nothing is.
-        """
-        first = bisect_left(self._times, since, self._start, self._stop)
-        return first < self._stop and self._times[first] < before
 
     def span(self) -> float:
         """Time covered by retained samples."""

@@ -1,9 +1,10 @@
 """The epoch price memo: each resource is priced once per epoch.
 
 The contract under test (docs/PERFORMANCE.md, "The price memo"): on one
-published epoch the first read of a resource costs one estimate
-validation and one ``complement_of``; every later read — by any path:
-the array evaluator, the lazy capacity views, admission — is a lookup.
+published epoch the first read of a resource costs one series summary
+and one ``complement_of``; every later read — by any path: the array
+evaluator, the lazy capacity views, admission — is a lookup.  A host's
+CPU load is memoised the same way.
 Answers stay those of the cold ``enable_cache=False`` oracle to the bit,
 across sweeps, journal gaps, structural changes and metrics-only forks.
 """
@@ -18,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.collector import MetricsStore
 from repro.collector.base import NetworkView
+from repro.collector.metrics import CPU_PSEUDO_LINK
 from repro.core import Flow, Modeler, Remos, Timeframe
 from repro.core import modeler as modeler_module
+from repro.core.evaluator import TimeframeEvaluator
 from repro.fairshare import vectorized
 from repro.net import TopologyBuilder
 from repro.stats import StatMeasure
@@ -170,10 +173,8 @@ class TestPricedOncePerEpoch:
         child = remos._modeler()
 
         assert child is not parent and after == before
-        # A fresh epoch: every crossed direction revalidated (a hit on the
-        # carried estimate, no new miss) and complemented exactly once more.
+        # A fresh epoch: every crossed direction priced exactly once more.
         assert pricing_calls == {"used": 2 * len(crossed), "complement": 2 * len(crossed)}
-        assert remos.cache_stats.misses == len(crossed)
         if vectorized.vectorization_enabled():
             assert child._snaparrays._routes is parent._snaparrays._routes
             assert (
@@ -204,6 +205,36 @@ class TestPricedOncePerEpoch:
         assert remos._modeler()._snaparrays._routes is not routes
 
 
+class TestCpuMemo:
+    def test_node_info_evaluates_a_cpu_series_once_per_epoch(self, monkeypatch):
+        view = sampled_view(tree_topology(), random.Random(10))
+        for i in range(12):
+            view.metrics.record_cpu("h3", float(i), 0.2 + 0.05 * (i % 4))
+        evaluations = []
+        evaluate = TimeframeEvaluator.evaluate
+
+        def counting(self, key, *args):
+            if key == (CPU_PSEUDO_LINK, "h3"):
+                evaluations.append(key)
+            return evaluate(self, key, *args)
+
+        monkeypatch.setattr(TimeframeEvaluator, "evaluate", counting)
+        remos = Remos(view)
+        first = remos.node_info("h3")
+        assert remos.node_info("h3") == first
+        assert len(evaluations) == 1
+        assert remos.cache_stats.per_cache["cpu"] == {"hits": 1, "misses": 1}
+
+        # A sweep that measured only a link still starts a new epoch, and
+        # the new epoch evaluates h3's unchanged series again, once.
+        view.metrics.record("a0", "h0", 12.0, mbps(5))
+        view.record_sweep({("a0", "h0")})
+        again = remos.node_info("h3")
+        assert remos.node_info("h3") == again
+        assert len(evaluations) == 2
+        assert again == Remos(view, enable_cache=False).node_info("h3")
+
+
 class TestTimeframeCap:
     def test_oldest_table_is_evicted_and_refills(self, pricing_calls):
         topology = tree_topology()
@@ -222,9 +253,9 @@ class TestTimeframeCap:
         again = remos.flow_info(variable_flows=flows, timeframe=timeframes[0])
         assert again == answers[0]
         assert again == cold.flow_info(variable_flows=flows, timeframe=timeframes[0])
-        # Refilled from the still-valid estimates: repriced, not recomputed.
+        # Refilled from the series: the table was the epoch's only copy.
         assert pricing_calls["complement"] - calls["complement"] >= len(crossed)
-        assert remos.cache_stats.misses == misses
+        assert remos.cache_stats.misses == misses + len(crossed)
         assert list(prices) == [*timeframes[3:], timeframes[0]]
         if vectorized.vectorization_enabled():
             # The array projections go with the tables they project.

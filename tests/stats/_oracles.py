@@ -185,14 +185,6 @@ class RingSeries:
     def values(self):
         return np.array([v for _, v in self._buffer], dtype=float)
 
-    def has_sample_in(self, since: float, before: float) -> bool:
-        for t, _ in self._buffer:
-            if t >= before:
-                return False
-            if t >= since:
-                return True
-        return False
-
     def span(self) -> float:
         if len(self._buffer) < 2:
             return 0.0

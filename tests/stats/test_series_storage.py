@@ -69,10 +69,6 @@ class SeriesMachine(RuleBasedStateMachine):
         assert self.series.window(since, until).tolist() == [v for _, v in expected]
         assert self.series.times(since, until).tolist() == [t for t, _ in expected]
         assert self.series.window(since).tolist() == self.ring.window(since).tolist()
-        assert self.series.has_sample_in(since, until) == self.ring.has_sample_in(since, until)
-        assert self.series.has_sample_in(since, until) == any(
-            since <= t < until for t, _ in self.model
-        )
 
     @invariant()
     def live_series_matches_the_model(self):
@@ -123,6 +119,18 @@ def test_clone_of_a_clone_and_live_arrays_stay_writable():
     series.add(6.0, 6.0)
     assert again.values().tolist() == [2.0, 3.0, 4.0, 5.0]
     assert series.values().flags.writeable  # only published data is read-only
+
+
+def test_an_unchanged_series_shares_its_clone():
+    series = TimeSeries(capacity=4)
+    series.add(0.0, 1.0)
+    clone = series.frozen_clone()
+    assert series.frozen_clone() is clone and clone.frozen_clone() is clone
+    series.add(1.0, 2.0)
+    fresh = series.frozen_clone()
+    assert fresh is not clone
+    assert clone.values().tolist() == [1.0] and fresh.values().tolist() == [1.0, 2.0]
+    assert pickle.loads(pickle.dumps(series))._clone is None
 
 
 def test_pickle_ships_only_the_retained_range():
