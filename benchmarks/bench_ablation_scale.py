@@ -51,9 +51,9 @@ from repro.adapt import select_nodes_flow_aware
 from repro.bench import Table
 from repro.collector import CollectorMaster, MetricsStore, SNMPCollector
 from repro.collector.base import NetworkView
-from repro.core import Flow, FlowQuery, Remos, Timeframe
+from repro.core import Flow, FlowQuery, Remos, Timeframe, plan, snaparrays
 from repro.core.modeler import Modeler
-from repro.fairshare import Demand, FlowRequest, MaxMinProblem
+from repro.fairshare import Demand, FlowRequest, MaxMinProblem, StagedProblem
 from repro.net import TopologyBuilder
 from repro.netsim import FluidNetwork
 from repro.sim import Engine
@@ -305,25 +305,35 @@ def test_engine_speedup_at_256_hosts(benchmark):
 VECTORIZED_GATE_BATCHES_PER_S = 20.0
 
 
+def _plan_answer(modeler, scenario, timeframe):
+    """One scenario through the shared plan over *modeler*'s epoch."""
+    local = plan.LocalSource(modeler, timeframe)
+    return plan.evaluate(
+        local.resolve, local.price,
+        scenario.fixed, scenario.variable, scenario.independent, timeframe,
+    )
+
+
+def _array_answer(modeler, scenario, timeframe):
+    """One scenario through the array evaluator (what ``Remos`` runs)."""
+    return snaparrays.evaluate_flow_query(
+        modeler, scenario.fixed, scenario.variable, scenario.independent, timeframe
+    )
+
+
 def test_vectorized_kernel_throughput_at_256_hosts(benchmark):
-    """Array allocation kernels vs the scalar loop — same process, same answers.
+    """The array evaluator vs the plan — same epoch, same answers.
 
     A 256-host leave-one-out selection sweep (16 spread hosts, 16
-    scenarios of 210 variable flows each) answered twice by the *same*
-    Remos instance: once with the numpy kernels forced on, once with the
-    scalar waterfilling loop forced.  The answers must be bit-identical
-    (the vectorized path is a reordering of the same float operations,
-    not an approximation) and the array path must clear an absolute
-    batches-per-second floor.  The scalar/vectorized ratio is reported,
-    not gated: a change that speeds up both sides (the epoch price memo
-    took the scalar side from ~200 to ~120 ms and the array side from ~27
-    to ~22 ms) lowers it while improving every figure that matters.
+    scenarios of 210 variable flows each) answered twice over one pinned
+    epoch: by the array evaluator (``snaparrays.evaluate_flow_query``,
+    what ``Remos`` runs for unicast scenarios) and by the shared plan
+    (``plan.evaluate``, its oracle; at 210 flows its allocate stage fills
+    the same level axis, so the ratio is the cost of the plan's per-flow
+    objects).  The answers must be bit-identical and the array evaluator
+    must clear an absolute batches-per-second floor.  The ratio is
+    reported, not gated.
     """
-    from repro.fairshare import vectorized
-
-    if not vectorized.HAVE_NUMPY:
-        pytest.skip("numpy not installed; no vectorized kernel to measure")
-
     topology, hosts = build_tree(256)
     pool = spread_hosts(hosts, 16)
     timeframe = Timeframe.current()
@@ -340,109 +350,142 @@ def test_vectorized_kernel_throughput_at_256_hosts(benchmark):
         for left_out in pool
     ]
     view = NetworkView(topology=topology, metrics=MetricsStore())
-    remos = Remos(view)
+    modeler = Remos(view)._modeler()
 
-    def timed(mode: bool, reps: int = 5):
-        vectorized.set_vectorized(mode)
-        try:
-            remos.flow_info_batch(scenarios, timeframe)  # warm run
-            best, answer = float("inf"), None
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                answer = remos.flow_info_batch(scenarios, timeframe)
-                best = min(best, time.perf_counter() - t0)
-            return best, answer
-        finally:
-            vectorized.set_vectorized(None)
+    def timed(evaluate, reps: int = 5):
+        [evaluate(modeler, s, timeframe) for s in scenarios]  # warm run
+        best, answer = float("inf"), None
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            answer = [evaluate(modeler, s, timeframe) for s in scenarios]
+            best = min(best, time.perf_counter() - t0)
+        return best, answer
 
     def experiment():
-        scalar_wall, scalar_answer = timed(False)
-        vector_wall, vector_answer = timed(True)
-        return scalar_wall, scalar_answer, vector_wall, vector_answer
+        return (*timed(_plan_answer), *timed(_array_answer))
 
-    scalar_wall, scalar_answer, vector_wall, vector_answer = benchmark.pedantic(
+    plan_wall, plan_result, array_wall, array_result = benchmark.pedantic(
         experiment, rounds=1, iterations=1
     )
-    assert scalar_answer == vector_answer  # bit-identical, not approximately
+    assert plan_result == array_result  # bit-identical, not approximately
     _results["vectorized"] = {
         "hosts": 256,
         "pool": len(pool),
         "scenarios": len(scenarios),
         "flows_per_scenario": len(scenarios[0].variable),
-        "scalar_ms": scalar_wall * 1e3,
-        "vectorized_ms": vector_wall * 1e3,
-        "batches_per_s": 1.0 / vector_wall,
-        "speedup": scalar_wall / vector_wall,
-        "bit_identical": scalar_answer == vector_answer,
+        "plan_ms": plan_wall * 1e3,
+        "array_ms": array_wall * 1e3,
+        "batches_per_s": 1.0 / array_wall,
+        "plan_over_array": plan_wall / array_wall,
+        "bit_identical": plan_result == array_result,
         "gate_batches_per_s": VECTORIZED_GATE_BATCHES_PER_S,
     }
-    assert 1.0 / vector_wall >= VECTORIZED_GATE_BATCHES_PER_S
+    assert 1.0 / array_wall >= VECTORIZED_GATE_BATCHES_PER_S
 
 
-#: Demand counts of the crossover sweep: the first n ordered pairs among
+#: Flow counts of the crossover sweep: the first n ordered pairs among
 #: six spread hosts, either side of ``vectorized.MIN_DEMANDS``.
-CROSSOVER_DEMANDS = (2, 4, 6, 8, 10, 12, 14, 16, 20, 24)
+CROSSOVER_DEMANDS = (1, 2, 3, 4, 6, 8, 10, 12, 14, 16, 20, 24)
+
+
+def _best_of(call, calls: int = 300) -> float:
+    """Best single call: sub-millisecond walls on a shared box are only
+    repeatable as a floor, not as a mean."""
+    best = float("inf")
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def test_array_evaluator_vs_scalar_plan_crossover(benchmark):
-    """Where the array evaluator starts to win — reported, not gated.
+    """Where each kernel wins — reported, not gated.
 
-    One warm ``Remos`` on the 64-host tree answers the same ``flow_info``
-    (n variable flows, all six availability levels) by both evaluators:
-    the array path (``snaparrays.evaluate_flow_query``: one filling run
-    over the level matrix) and the scalar plan (``plan.evaluate``: one
-    pure-Python solve per level).  Auto mode switches between them at
-    ``vectorized.MIN_DEMANDS``; this table is the data to re-fit that
-    constant from (ROADMAP item 5).  Answers must be equal at every size.
+    Two tables over one warm epoch of the 64-host tree, n variable flows,
+    all six availability levels:
+
+    * ``rows`` — the two evaluators, called directly: the array evaluator
+      (``snaparrays.evaluate_flow_query``: the epoch's interned route rows
+      and price columns, one filling run per stage) against the plan
+      (``plan.evaluate``).  ``Remos`` runs the array evaluator for every
+      unicast scenario, so it must be at least as fast from n = 1 up;
+    * ``one_shot`` — ``StagedProblem.solve_levels``' two paths on a problem
+      built per call, as a multicast or cross-shard scenario builds it: the
+      level axis (interning and array build included) against six scalar
+      chains.  ``solve_levels`` switches between them at
+      ``vectorized.MIN_DEMANDS``; this table is the data to fit it from.
+
+    Answers must be equal at every size.
     """
     from repro.fairshare import vectorized
-
-    if not vectorized.HAVE_NUMPY:
-        pytest.skip("numpy not installed; no array evaluator to measure")
 
     topology, hosts = build_tree(64)
     pool = spread_hosts(hosts, 6)
     pairs = [(src, dst) for src in pool for dst in pool if src != dst]
-    remos = Remos(NetworkView(topology=topology, metrics=MetricsStore()))
+    modeler = Remos(NetworkView(topology=topology, metrics=MetricsStore()))._modeler()
     timeframe = Timeframe.current()
-
-    def timed(mode: bool, flows, calls: int = 300):
-        # Best single call: sub-millisecond walls on a shared box are
-        # only repeatable as a floor, not as a mean.
-        vectorized.set_vectorized(mode)
-        try:
-            answer = remos.flow_info(variable_flows=flows, timeframe=timeframe)  # warm
-            best = float("inf")
-            for _ in range(calls):
-                t0 = time.perf_counter()
-                remos.flow_info(variable_flows=flows, timeframe=timeframe)
-                best = min(best, time.perf_counter() - t0)
-            return best, answer
-        finally:
-            vectorized.set_vectorized(None)
+    local = plan.LocalSource(modeler, timeframe)
 
     def experiment():
-        rows = []
+        rows, one_shot = [], []
         for n in CROSSOVER_DEMANDS:
             flows = [Flow(src, dst, name=f"{src}->{dst}") for src, dst in pairs[:n]]
-            scalar_wall, scalar_answer = timed(False, flows)
-            array_wall, array_answer = timed(True, flows)
-            assert scalar_answer == array_answer
+            scenario = FlowQuery(variable=flows)
+            plan_answer = _plan_answer(modeler, scenario, timeframe)  # warm
+            array_answer = _array_answer(modeler, scenario, timeframe)
+            assert plan_answer == array_answer
+            plan_wall = _best_of(lambda: _plan_answer(modeler, scenario, timeframe))
+            array_wall = _best_of(lambda: _array_answer(modeler, scenario, timeframe))
             rows.append(
                 {
                     "demands": n,
-                    "scalar_plan_ms": scalar_wall * 1e3,
+                    "plan_ms": plan_wall * 1e3,
                     "array_ms": array_wall * 1e3,
-                    "scalar_over_array": scalar_wall / array_wall,
+                    "plan_over_array": plan_wall / array_wall,
                 }
             )
-        return rows
 
+            requests = [
+                FlowRequest(flow.name, local.resolve(flow).resources) for flow in flows
+            ]
+            prices = {
+                key: measure
+                for key in StagedProblem(variable=requests).resource_keys()
+                if (measure := local.price(key)) is not None
+            }
+            levels = [
+                {key: getattr(measure, level) for key, measure in prices.items()}
+                for level in _LEVELS
+            ]
+
+            def scalar_chain():
+                problem = StagedProblem(variable=requests)
+                return [problem._solve(capacities) for capacities in levels]
+
+            def level_axis():
+                return StagedProblem(variable=requests)._solve_arrays(levels)
+
+            assert scalar_chain() == level_axis()
+            scalar_wall = _best_of(scalar_chain)
+            axis_wall = _best_of(level_axis)
+            one_shot.append(
+                {
+                    "demands": n,
+                    "scalar_ms": scalar_wall * 1e3,
+                    "array_ms": axis_wall * 1e3,
+                    "scalar_over_array": scalar_wall / axis_wall,
+                }
+            )
+        return rows, one_shot
+
+    rows, one_shot = benchmark.pedantic(experiment, rounds=1, iterations=1)
     _results["crossover"] = {
         "hosts": 64,
         "levels": len(_LEVELS),
         "min_demands": vectorized.MIN_DEMANDS,
-        "rows": benchmark.pedantic(experiment, rounds=1, iterations=1),
+        "rows": rows,
+        "one_shot": one_shot,
     }
 
 
@@ -645,20 +688,23 @@ def test_scale_report(benchmark):
     if "vectorized" in _results:
         v = _results["vectorized"]
         text += (
-            f"\n256-host allocation kernels: vectorized {v['vectorized_ms']:.1f}ms "
+            f"\n256-host selection batch: array evaluator {v['array_ms']:.1f}ms "
             f"({v['batches_per_s']:.1f} batches/s, gate >= {v['gate_batches_per_s']:g}) vs "
-            f"scalar {v['scalar_ms']:.1f}ms ({v['speedup']:.1f}x reported, bit-identical answers)"
+            f"plan {v['plan_ms']:.1f}ms ({v['plan_over_array']:.1f}x reported, "
+            f"bit-identical answers)"
         )
     if "crossover" in _results:
         c = _results["crossover"]
         text += (
-            f"\n{c['hosts']}-host flow_info, {c['levels']} levels, array evaluator vs scalar plan "
-            f"(auto mode switches at {c['min_demands']} demands; reported, not gated):"
+            f"\n{c['hosts']}-host flow scenario, {c['levels']} levels, reported, not gated "
+            f"(solve_levels switches to the level axis at {c['min_demands']} demands):"
         )
-        for row in c["rows"]:
+        for row, shot in zip(c["rows"], c["one_shot"]):
             text += (
-                f"\n  {row['demands']:>3} demands: scalar plan {row['scalar_plan_ms']:.3f}ms, "
-                f"array {row['array_ms']:.3f}ms ({row['scalar_over_array']:.2f}x)"
+                f"\n  {row['demands']:>3} demands: plan {row['plan_ms']:.3f}ms, "
+                f"array evaluator {row['array_ms']:.3f}ms ({row['plan_over_array']:.2f}x); "
+                f"one-shot solve_levels scalar {shot['scalar_ms']:.3f}ms, "
+                f"level axis {shot['array_ms']:.3f}ms ({shot['scalar_over_array']:.2f}x)"
             )
     if "answer_write" in _results:
         text += "\nAnswer JSON bodies, e2e tree64 (to_dict + dumps vs to_json; reported, not gated):"

@@ -107,17 +107,8 @@ def _make_service() -> tuple[RemosService, list[Flow], Timeframe]:
     return service, flows, Timeframe.history(10.0)
 
 
-def _run_phase(readers: int, vectorize: bool | None = None) -> dict:
-    """Fixed-wall-duration throughput at *readers* query threads.
-
-    *vectorize* pins the allocation kernel for the phase: ``False`` is
-    the scalar loop (the expensive-query regime — and the no-numpy
-    behaviour), ``True`` forces the array kernels, ``None`` leaves
-    auto-detection alone.
-    """
-    from repro.fairshare import vectorized
-
-    vectorized.set_vectorized(vectorize)
+def _run_phase(readers: int) -> dict:
+    """Fixed-wall-duration throughput at *readers* query threads."""
     service, flows, timeframe = _make_service()
     try:
         # One untimed query per thread count to settle imports/caches.
@@ -149,7 +140,6 @@ def _run_phase(readers: int, vectorize: bool | None = None) -> dict:
         }
     finally:
         service.stop()
-        vectorized.set_vectorized(None)
 
 
 def _drive_http(address: tuple[str, int], flows: list[Flow]) -> dict:
@@ -283,23 +273,14 @@ def test_front_door_throughput(benchmark):
 def test_concurrent_throughput_scales(benchmark):
     """Reader throughput against a live sweeper, single and concurrent.
 
-    The gated phases pin the **scalar** allocation kernel: that is both
-    the no-numpy behaviour and the expensive-query regime.  The
-    vectorized phases are recorded alongside as the raw-speed headline,
-    not gated.
+    Each phase answers its 30-flow query the way the product does: the
+    array evaluator, over the epoch each reader pins.
     """
-    from repro.fairshare import vectorized
 
     def experiment():
-        scalar = [_run_phase(readers, vectorize=False) for readers in THREAD_COUNTS]
-        vector = (
-            [_run_phase(readers, vectorize=True) for readers in (1, 8)]
-            if vectorized.HAVE_NUMPY
-            else []
-        )
-        return scalar, vector
+        return [_run_phase(readers) for readers in THREAD_COUNTS]
 
-    phases, vector_phases = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    phases = benchmark.pedantic(experiment, rounds=1, iterations=1)
     by_readers = {phase["readers"]: phase for phase in phases}
     tp1 = by_readers[1]["throughput_qps"]
     best_concurrent = max(
@@ -309,8 +290,7 @@ def test_concurrent_throughput_scales(benchmark):
 
     lines = [
         f"Concurrent flow_info throughput, {N_HOSTS} hosts, live sweeper "
-        f"(every sweep touches every direction), {PHASE_WALL_S}s per phase, "
-        f"scalar allocation kernel:"
+        f"(every sweep touches every direction), {PHASE_WALL_S}s per phase:"
     ]
     for phase in phases:
         lines.append(
@@ -321,11 +301,6 @@ def test_concurrent_throughput_scales(benchmark):
         f"  gates: single >= {SINGLE_GATE_QPS:g} q/s, best concurrent >= "
         f"{CONCURRENT_GATE_QPS:g} q/s; concurrent/single {scaling:.2f}x (reported)"
     )
-    for phase in vector_phases:
-        lines.append(
-            f"  vectorized, {phase['readers']} reader(s): "
-            f"{phase['throughput_qps']:8.1f} q/s ({phase['queries']} queries)"
-        )
     emit("\n".join(lines))
 
     payload = {
@@ -333,7 +308,6 @@ def test_concurrent_throughput_scales(benchmark):
         "hosts": N_HOSTS,
         "phase_wall_s": PHASE_WALL_S,
         "phases": phases,
-        "vectorized_phases": vector_phases,
         "single_thread_qps": tp1,
         "best_concurrent_qps": best_concurrent,
         "scaling": scaling,

@@ -36,7 +36,6 @@ from repro.core import plan as _plan
 from repro.core import snaparrays as _snaparrays
 from repro.core.snapshot import Snapshot, SnapshotPublisher
 from repro.core.timeframe import Timeframe
-from repro.fairshare import vectorized as _vectorized
 from repro.stats import StatMeasure
 from repro.util.errors import CollectorError, QueryError
 
@@ -306,12 +305,12 @@ class Remos:
     ) -> FlowInfoResult:
         """One scenario's answer against *modeler*'s epoch.
 
-        The one place a kernel is chosen: large all-unicast scenarios go
-        through the array evaluator (``repro.core.snaparrays``), everything
-        else through the shared plan over a local resolver/pricer
-        (``repro.core.plan``) — same validation, same staged solve,
-        bit-identical answers.  The plan doubles as the no-numpy fallback
-        and the oracle.
+        The one place an evaluator is chosen, by the scenario's shape:
+        all-unicast scenarios go through the array evaluator
+        (``repro.core.snaparrays``), multicast ones through the shared plan
+        over a local resolver/pricer (``repro.core.plan``) — same
+        validation, same staged solve, bit-identical answers.  The plan
+        doubles as the oracle.
         """
         if _snaparrays.vectorizable(fixed, variable, independent):
             return _snaparrays.evaluate_flow_query(
@@ -447,15 +446,6 @@ class Remos:
         ):
             registry.gauge(name, help=help_text).set_function(reader(fn))
 
-        # Allocation-path gauges: module-global, not per-facade (solve
-        # counters accumulate across every Remos instance in the process).
-        for name, help_text, fn in (
-            ("remos_vectorized", "1 when the numpy allocation kernels are live", lambda: float(_vectorized.vectorization_enabled())),
-            ("remos_vectorized_solves_total", "Max-min solves answered by the array kernel", lambda: float(_vectorized.counters["vectorized_solves"])),
-            ("remos_scalar_solves_total", "Max-min solves answered by the scalar loop", lambda: float(_vectorized.counters["scalar_solves"])),
-        ):
-            registry.gauge(name, help=help_text).set_function(fn)
-
     def telemetry(self) -> dict:
         """One combined, JSON-able observability snapshot for this facade.
 
@@ -503,8 +493,6 @@ class Remos:
             "snapshot": None if current is None else current.to_dict(),
             "collector": collector_info,
             "observability_enabled": obs.observability_enabled(),
-            "vectorized": _vectorized.vectorization_enabled(),
-            "solves": dict(_vectorized.counters),
             "metrics": obs.get_registry().to_dict(),
         }
 

@@ -16,10 +16,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-try:  # numpy is the optional ``repro[fast]`` accelerator
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
-    np = None
+import numpy as np
 
 from repro.core.jsontext import JSONWriter, string
 from repro.net import Node, NodeKind
@@ -260,10 +257,7 @@ class RemosGraph:
                 available = self.path_available(src, dst)
                 value = getattr(available, quantile)
                 rows[i][j] = 1.0 / max(value, 1.0)
-        # Nested lists without numpy; the same values either way, so the
-        # clustering caller (which does require numpy) sees no difference.
-        matrix = np.asarray(rows) if np is not None else rows
-        return names, matrix
+        return names, np.asarray(rows)
 
     def to_dict(self) -> dict:
         """Plain-data form for JSON export."""

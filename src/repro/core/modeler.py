@@ -515,8 +515,9 @@ class Modeler:
     def snapshot_arrays(self):
         """This modeler's :class:`~repro.core.snaparrays.SnapshotArrays`.
 
-        Lazily built (numpy paths only); a published snapshot's modeler
-        keeps one for its lifetime, shared by all reader threads.
+        Lazily built by the first array-evaluator query; a published
+        snapshot's modeler keeps one for its lifetime, shared by all
+        reader threads.
         """
         from repro.core.snaparrays import SnapshotArrays
 

@@ -19,15 +19,17 @@ resolves through the owning shards' local sources and prices summary
 edges itself.  :func:`admission` is the guaranteed-service twin
 (resolve → median price → ``admission_report``).
 
-The allocate stage is one ``StagedProblem.solve_levels`` call over the six
-capacity rows: from ``MIN_DEMANDS`` (12) flows up it is one filling run
-per stage over all six levels and one ``fairshare.allocate`` span
-(``levels=6``) — every large cross-shard and multicast scenario — and
-below that six level-by-level solves, one span each.  The array evaluator
-in :mod:`repro.core.snaparrays` answers large all-unicast single-cell
-scenarios with the same labels, the same checks, the same staged kernel
-chain and bit-identical results, skipping this module's per-flow objects;
-``Remos`` dispatches between the two.
+The plan answers the scenarios the array evaluator cannot: multicast
+flows and federated cross-shard queries.  Its allocate stage is one
+``StagedProblem.solve_levels`` call over the six capacity rows, which
+picks the kernel by size: from ``MIN_DEMANDS`` (8) flows up one filling
+run per stage over all six levels and one ``fairshare.allocate`` span
+(``levels=6``), below that six level-by-level scalar solves, one span
+each.  The array evaluator in :mod:`repro.core.snaparrays` answers every
+single-cell unicast scenario with the same labels, the same checks, the
+same staged kernel chain and bit-identical results, skipping this
+module's per-flow objects; ``Remos`` picks between the two by the
+query's shape, and this module stays their oracle.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def evaluate(
 
     # -- allocate -----------------------------------------------------------
     # Every level in one call: one filling run per stage over all six from
-    # MIN_DEMANDS flows up, level by level below.
+    # MIN_DEMANDS flows up, level by level below (StagedProblem picks).
     allocations = problem.solve_levels(
         [
             {key: getattr(measure, level) for key, measure in prices.items()}

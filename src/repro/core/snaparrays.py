@@ -1,4 +1,4 @@
-"""Array materialisation for the vectorized query path.
+"""The array evaluator: flow queries against one epoch, as arrays.
 
 The scalar ``flow_info_batch`` pipeline expands every scenario through
 per-flow Python objects: ``FlowRequest`` → ``Demand`` dataclasses, dict
@@ -28,9 +28,10 @@ i.e. one per published epoch) has two halves:
   fancy index each.  Ids, fill lock and columns have this one owner, so
   every reader of an epoch fills the same columns through the same ids.
 
-:func:`evaluate_flow_query` is the size-selected kernel beside the shared
-scalar plan (:mod:`repro.core.plan`); ``Remos._evaluate_flow_query``
-dispatches between them on :func:`vectorizable`.  The two share the same
+:func:`evaluate_flow_query` answers every single-cell unicast scenario;
+the shared plan (:mod:`repro.core.plan`) answers multicast and cross-shard
+ones, and ``Remos._evaluate_flow_query`` picks by :func:`vectorizable` —
+the query's shape, never its size or a setting.  The two share the same
 endpoint validation (``plan.validate_endpoint``) and label-uniqueness check
 raising the same ``QueryError`` texts, the same ``Flow.label`` labels and
 evaluation levels (``plan.LEVELS``/``PRICED``), one counted price read per
@@ -40,13 +41,16 @@ read at the median — and the same solve: the staged fixed → variable →
 independent chain of :func:`repro.fairshare.vectorized.fill_stages`, one
 filling run per stage over all six levels, under one ``fairshare.allocate``
 span (``levels=6``).  The plan reaches it through
-``StagedProblem.solve_levels``; what this evaluator saves is the plan's
+``StagedProblem.solve_levels`` from ``MIN_DEMANDS`` flows up; what this
+evaluator saves is the plan's
 per-flow objects — it interns route rows once per epoch and reads the
 ``(levels, resources)`` capacity block straight off the price columns.
 Answers are **bit-identical** to the plan's (differentially fuzzed in
-``tests/fairshare/test_vectorized_maxmin.py`` and gated in
-``benchmarks/bench_ablation_scale.py``); the plan remains the oracle and
-the no-numpy fallback.
+``tests/core/test_evaluator_differential.py`` and
+``tests/fairshare/test_vectorized_maxmin.py``, gated in
+``benchmarks/bench_ablation_scale.py``); the plan remains the oracle.
+It wins from one flow up: the epoch's route rows and price columns are
+built once, so a query pays for no array build of its own.
 """
 
 from __future__ import annotations
@@ -54,17 +58,16 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro import obs
 from repro.core.flows import Flow, FlowAnswer, FlowInfoResult, MulticastFlow
 from repro.core.plan import LEVELS, PRICED, validate_endpoint
 from repro.core.timeframe import Timeframe, TimeframeKind
 from repro.fairshare import vectorized as _vectorized
-from repro.fairshare.vectorized import HAVE_NUMPY, KeySpace
+from repro.fairshare.vectorized import KeySpace
 from repro.stats import StatMeasure
 from repro.util.errors import QueryError
-
-if HAVE_NUMPY:
-    import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.modeler import Modeler
@@ -269,12 +272,9 @@ class SnapshotArrays:
 def vectorizable(fixed: list, variable: list, independent: list) -> bool:
     """Should this scenario run through the array evaluator?
 
-    Yes when numpy is live, the problem is large enough for the kernels to
-    win, and every flow is unicast.
+    Yes when every flow is unicast: route rows are interned per (src, dst)
+    pair, and a multicast tree is not one.
     """
-    total = len(fixed) + len(variable) + len(independent)
-    if not _vectorized._use_vectorized(total):
-        return False
     return not any(
         isinstance(flow, MulticastFlow) for flow in (*fixed, *variable, *independent)
     )
@@ -289,9 +289,9 @@ def evaluate_flow_query(
 ) -> FlowInfoResult:
     """The array kernel for one scenario: ``plan.evaluate``'s contract.
 
-    Same validation, same staged chaining, same spans, bit-identical
-    answers; the caller dispatches here only when :func:`vectorizable`
-    said yes (numpy live, unicast flows, problem large enough to win).
+    Same validation, same staged chaining, bit-identical answers; the
+    caller dispatches here only when :func:`vectorizable` said yes (every
+    flow unicast).
     """
     arrays = modeler.snapshot_arrays()
     arrays.validate_endpoints((*fixed, *variable, *independent))
@@ -374,10 +374,16 @@ def evaluate_flow_query(
     stage_by_class = dict(stages)
 
     # The union of referenced resource ids (the scalar path's pruned key
-    # set — membership only; allocation results don't depend on order).
+    # set — membership only; allocation results don't depend on order),
+    # ascending.  A mask, not ``np.unique``: that one's first call in a
+    # process imports ``numpy.ma`` (~40 ms), which a server's first
+    # one-flow query would pay.
     ref = [stage.res_ids for _, stage in stages]
-    uniq = np.unique(np.concatenate(ref)) if ref else np.empty(0, dtype=np.int64)
-    size = int(uniq[-1]) + 1 if uniq.size else 0
+    ref = np.concatenate(ref) if ref else np.empty(0, dtype=np.int64)
+    size = int(ref.max()) + 1 if ref.size else 0
+    crossed = np.zeros(size, dtype=bool)
+    crossed[ref] = True
+    uniq = np.flatnonzero(crossed)
 
     # Every level's entry-clamped capacities, and the overall answer
     # accuracy (the worst among the directions any queried flow

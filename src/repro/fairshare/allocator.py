@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.fairshare import vectorized as _vectorized
 from repro.fairshare.maxmin import Demand, MaxMinProblem, MaxMinResult
 from repro.util.errors import ConfigurationError
-
-if _vectorized.HAVE_NUMPY:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -89,14 +88,16 @@ class StagedProblem:
 
     One Remos ``flow_info`` query evaluates the identical flow set at six
     capacity snapshots (five quartile levels plus the mean).
-    :meth:`solve_levels` takes them together: from
-    :data:`~repro.fairshare.vectorized.MIN_DEMANDS` flows up (or when
-    vectorization is forced) the three stages are interned into one
+    :meth:`solve_levels` takes them together, choosing the kernel by
+    size — the one such choice left: from
+    :data:`~repro.fairshare.vectorized.MIN_DEMANDS` flows up the three
+    stages are interned into one
     :class:`~repro.fairshare.vectorized.KeySpace` once and each stage is
     **one** filling run over every level, under one ``fairshare.allocate``
     span (``levels=L``); smaller problems solve level by level through the
     stage :class:`MaxMinProblem` instances, prepared once, one span per
-    level.  :meth:`solve` is the same call at one level.
+    level — a one-shot problem that small does not earn back the array
+    build.  :meth:`solve` is the same call at one level.
     """
 
     __slots__ = ("fixed", "variable", "independent", "_problems", "_arrays")
@@ -175,7 +176,7 @@ class StagedProblem:
         for that mapping alone.
         """
         demands = len(self.fixed) + len(self.variable) + len(self.independent)
-        if not _vectorized._use_vectorized(demands):
+        if demands < _vectorized.MIN_DEMANDS:
             return [self._solve_level(capacities) for capacities in levels]
         with obs.span("fairshare.allocate") as sp:
             self._annotate(sp, max(map(len, levels), default=0), levels=len(levels))

@@ -35,10 +35,10 @@ The result is bit-for-bit identical to the reference implementation (see
 ``benchmarks/_reference.py`` and the differential tests) while each
 filling step costs O(capped-active + constrained resources + affected).
 
-For repeated solves over the same flow set (e.g. the five quartile levels
-plus the mean inside one ``flow_info`` query), build a
-:class:`MaxMinProblem` once and call :meth:`MaxMinProblem.solve` per
-capacity snapshot — the crossing index and validation are shared.
+For repeated solves over the same flow set, build a :class:`MaxMinProblem`
+once and call :meth:`MaxMinProblem.solve` per capacity snapshot — the
+crossing index and validation are shared.  A flow query's six levels are
+one call to ``StagedProblem.solve_levels`` instead.
 """
 
 from __future__ import annotations
@@ -126,12 +126,12 @@ class MaxMinProblem:
 
     Validates the demand list and builds the resource→crossing-demands
     index once; :meth:`solve` then runs the incremental filling loop per
-    capacity dict.  ``Remos._flow_info`` evaluates the same flow set at
-    six load levels — sharing the problem across those solves avoids
-    rebuilding the crossing index per level.
+    capacity dict.  A small plan scenario (``StagedProblem.solve_levels``
+    below ``MIN_DEMANDS`` flows) solves one problem per stage at six load
+    levels — sharing it avoids rebuilding the crossing index per level.
     """
 
-    __slots__ = ("demands", "_crossing", "_order", "_positions", "_arrays")
+    __slots__ = ("demands", "_crossing", "_order", "_positions")
 
     def __init__(self, demands: Iterable[Demand]):
         self.demands: list[Demand] = list(demands)
@@ -140,16 +140,14 @@ class MaxMinProblem:
             if demand.flow_id in seen:
                 raise ConfigurationError(f"duplicate flow_id {demand.flow_id!r}")
             seen.add(demand.flow_id)
-        # Both index forms are built lazily on first use: the crossing
-        # dicts by the scalar path, the incidence arrays by the vectorized
-        # path — a problem solved only one way never builds the other.
+        # Built lazily on the first solve: a staged problem solved on the
+        # level axis (repro.fairshare.vectorized) never builds it.
         self._crossing: dict[Hashable, list[Demand]] | None = None
         self._order: dict[Hashable, int] | None = None
         self._positions: dict[Hashable, dict[Hashable, int]] | None = None
-        self._arrays = None
 
     def _ensure_index(self) -> None:
-        """Build the scalar path's crossing index (idempotent).
+        """Build the crossing index (idempotent).
 
         resource -> demands crossing it, in original demand order, one
         entry per occurrence in the demand's resource tuple (so filtered
@@ -208,26 +206,14 @@ class MaxMinProblem:
         clamped to zero once at entry, and the clamped value is reused by
         the relative-epsilon saturation test.
 
-        Dispatches to the numpy kernel (:mod:`repro.fairshare.vectorized`)
-        when it is enabled and the problem is large enough to benefit; the
-        two paths are bit-identical (differentially fuzzed), so callers
-        never observe which one answered.
+        One capacity mapping is the scalar loop's shape: the simulator
+        solves a fresh problem per flow change, where building the array
+        form costs more than it saves (docs/PERFORMANCE.md §8).  Many
+        levels of one demand set go through ``StagedProblem.solve_levels``.
+        This loop is also the differential oracle of
+        :mod:`repro.fairshare.vectorized`.
         """
-        if _vectorized._use_vectorized(len(self.demands)):
-            return self.solve_vectorized(capacities)
-        return self.solve_scalar(capacities)
-
-    def solve_vectorized(self, capacities: Mapping[Hashable, float]) -> MaxMinResult:
-        """The numpy filling loop (requires numpy; same answers, bit for bit)."""
-        if self._arrays is None:
-            self._arrays = _vectorized.DemandArrays(self.demands)
-        return _vectorized.solve_arrays(self._arrays, self.demands, capacities)
-
-    def solve_scalar(self, capacities: Mapping[Hashable, float]) -> MaxMinResult:
-        """The pure-Python filling loop — the differential oracle and the
-        no-numpy fallback."""
         self._ensure_index()
-        _vectorized.counters["scalar_solves"] += 1
         result = MaxMinResult()
         remaining = {key: max(0.0, float(cap)) for key, cap in capacities.items()}
         # Clamped capacities, frozen at entry: the saturation threshold is
@@ -368,8 +354,3 @@ def weighted_max_min(
     snapshot.
     """
     return MaxMinProblem(demands).solve(capacities)
-
-
-# Imported last: vectorized.py type-references MaxMinResult from this
-# module, so the import must run after the definitions above.
-from repro.fairshare import vectorized as _vectorized  # noqa: E402

@@ -1,7 +1,7 @@
-"""Numpy water-filling kernel for :class:`~repro.fairshare.maxmin.MaxMinProblem`.
+"""Numpy water-filling kernel for flow queries: six levels in one run.
 
 The scalar filling loop in :mod:`repro.fairshare.maxmin` is pure-Python
-dict arithmetic: fine for a handful of flows, but the dominant cost of a
+dict arithmetic: fine for one capacity mapping, but the dominant cost of a
 256-host ``flow_info_batch`` sweep (hundreds of demands × six load levels
 × three stages).  :func:`fill` re-expresses one filling step as a fixed
 sequence of array operations —
@@ -24,8 +24,7 @@ allocation stages over one ``(levels, resources)`` block; both flow-query
 evaluators reach the kernel through it — ``StagedProblem.solve_levels``
 (:mod:`repro.fairshare.allocator`, under the plan) and the array evaluator
 in :mod:`repro.core.snaparrays` — and nothing outside this package calls
-:func:`fill` itself.  :func:`solve_arrays` (one capacity mapping, as
-``MaxMinProblem.solve`` takes) is the same kernel at one level.
+:func:`fill` itself.
 
 Answers match the scalar path **bit for bit**, level by level.  Every
 float operation is performed by the same IEEE-754 rule in the same order
@@ -73,88 +72,32 @@ The differential fuzz suite (``tests/fairshare/test_vectorized_maxmin.py``)
 asserts exact equality — rates, bottlenecks, residuals, iteration counts —
 against the scalar oracle on adversarial demand sets, one level and many.
 
-Enabling and disabling
-----------------------
-numpy is detected at import; without it every solve silently uses the
-scalar path.  The ``REPRO_VECTORIZE`` environment variable overrides the
-default: ``0/off/false/no`` disables vectorization entirely, ``1/on/
-true/yes/force`` vectorizes every solve regardless of size, and unset
-means *auto* — vectorize when numpy is present and the problem has at
-least :data:`MIN_DEMANDS` demands (tiny problems solve faster in pure
-Python than the array setup costs).  :func:`set_vectorized` applies the
-same tri-state programmatically (tests, CLI); the live decision is
-exported as the ``remos_vectorized`` gauge via ``Remos.telemetry()``.
+Which kernel answers
+--------------------
+The shape of the problem decides, never a setting.  A query against an
+epoch (six levels of one demand set) runs this kernel: the array
+evaluator in :mod:`repro.core.snaparrays` for every single-cell unicast
+scenario, and ``StagedProblem.solve_levels`` from :data:`MIN_DEMANDS`
+flows up (multicast and cross-shard scenarios).  A one-shot problem —
+``MaxMinProblem.solve``, the simulator's ``weighted_max_min`` — runs the
+scalar loop in :mod:`repro.fairshare.maxmin`, which is faster there than
+the array setup costs.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Hashable, Mapping
+from typing import Hashable
+
+import numpy as np
 
 from repro.util.errors import ConfigurationError
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the container always has numpy
-    np = None
-    HAVE_NUMPY = False
-
-#: Below this many demands the scalar loop wins: array allocation and
-#: ``np.unique`` setup cost more than a few dict iterations.  Measured
-#: crossover on the reference container is ~8-16 demands; see
-#: docs/PERFORMANCE.md §8.
-MIN_DEMANDS = 12
-
-_FALSE_WORDS = {"0", "off", "false", "no"}
-_TRUE_WORDS = {"1", "on", "true", "yes", "force"}
-
-#: Solve counters by path, exported through ``Remos.telemetry()``.
-counters = {"vectorized_solves": 0, "scalar_solves": 0}
-
-
-def _env_mode() -> bool | None:
-    raw = os.environ.get("REPRO_VECTORIZE")
-    if raw is None:
-        return None
-    word = raw.strip().lower()
-    if word in _FALSE_WORDS:
-        return False
-    if word in _TRUE_WORDS:
-        return True
-    return None
-
-
-#: Tri-state switch: ``None`` = auto, ``True`` = always, ``False`` = never.
-_mode: bool | None = _env_mode()
-
-
-def set_vectorized(mode: bool | None) -> None:
-    """Force vectorization on/off, or ``None`` to restore auto-detection.
-
-    ``True`` bypasses the :data:`MIN_DEMANDS` threshold (every solve uses
-    the array kernel); ``False`` forces the scalar path even with numpy
-    installed; ``None`` re-reads ``REPRO_VECTORIZE``/auto.
-    """
-    global _mode
-    _mode = _env_mode() if mode is None else mode
-
-
-def vectorization_enabled() -> bool:
-    """True when the array kernels are live for large problems."""
-    if not HAVE_NUMPY:
-        return False
-    return _mode is not False
-
-
-def _use_vectorized(n_demands: int) -> bool:
-    """The per-solve dispatch decision."""
-    if not HAVE_NUMPY or _mode is False:
-        return False
-    if _mode is True:
-        return True
-    return n_demands >= MIN_DEMANDS
+#: ``StagedProblem.solve_levels`` fills every level in one run from this
+#: many flows up and solves level by level below: a one-shot problem pays
+#: for its array build, which a few flows do not earn back.  The build-
+#: included crossover sits between 6 (a tie) and 8 flows (×1.1–1.2):
+#: ``evaluator_crossover.one_shot`` in BENCH_scale.json, PERFORMANCE §8.
+MIN_DEMANDS = 8
 
 
 class KeySpace:
@@ -191,11 +134,11 @@ class KeySpace:
 
 
 class DemandArrays:
-    """The frozen array form of one :class:`MaxMinProblem`'s demand set.
+    """The frozen array form of one allocation stage's demand set.
 
-    Built once per problem (lazily, on the first vectorized solve) and
-    reused across every capacity snapshot the problem is solved against —
-    the same amortisation contract as the scalar crossing index.
+    Built once per stage and reused across every capacity level the stage
+    is filled at — the same amortisation contract as the scalar crossing
+    index.
 
     The incidence entry list pairs ``ent_dem[i]`` (demand index) with
     ``ent_local[i]`` (position of the resource's interned id in
@@ -292,7 +235,6 @@ def fill(arrays: DemandArrays, remaining, present, thresholds):
     from repro.fairshare.maxmin import _EPS
 
     L = remaining.shape[0]
-    counters["vectorized_solves"] += L
     n = arrays.n
     R = len(arrays.res_ids)
     weights = arrays.weights
@@ -466,43 +408,3 @@ def fill_stages(stages, remaining, present):
         remaining[:, local_ids] = local_remaining
     return results
 
-
-def solve_arrays(arrays: DemandArrays, demands, capacities: Mapping):
-    """Vectorized progressive filling; bit-identical to the scalar solve.
-
-    *demands* is the problem's demand list (for flow ids in original
-    order); *capacities* is the same mapping the scalar solve takes.
-    Returns a :class:`~repro.fairshare.maxmin.MaxMinResult`.
-    """
-    from repro.fairshare.maxmin import _EPS, MaxMinResult
-
-    R = len(arrays.res_ids)
-
-    # Residual bookkeeping matches the scalar entry clamp exactly,
-    # including its Python ``max(0.0, float(cap))`` NaN semantics.
-    residual = {key: max(0.0, float(cap)) for key, cap in capacities.items()}
-
-    # Gather the constrained subset of this problem's resources.
-    remaining = np.zeros(R, dtype=np.float64)
-    present = np.zeros(R, dtype=bool)
-    for j, key in enumerate(arrays.res_keys):
-        if key in residual:
-            present[j] = True
-            remaining[j] = residual[key]
-    # Saturation thresholds are relative to the entry-clamped limits.
-    thresholds = _EPS * np.maximum(remaining, 1.0)
-
-    # One level: the kernel's leading axis has length one.
-    rates, bottleneck, iterations = fill(
-        arrays, remaining[None], present, thresholds[None]
-    )
-
-    result = MaxMinResult(iterations=int(iterations[0]))
-    res_keys = arrays.res_keys
-    for demand, rate, r in zip(demands, rates[0].tolist(), bottleneck[0].tolist()):
-        result.rates[demand.flow_id] = rate
-        result.bottlenecks[demand.flow_id] = None if r < 0 else res_keys[r]
-    for j in np.flatnonzero(present):
-        residual[res_keys[j]] = float(remaining[j])
-    result.residual_capacity = residual
-    return result

@@ -13,6 +13,6 @@ rate-allocation phenomenon, and max-min is exactly the sharing model Remos
 itself assumes (§4.2).
 """
 
-from repro.netsim.fluid import FluidFlow, FluidNetwork, Reservation, TransferHandle
+from repro.netsim.fluid import FluidFlow, FluidNetwork, TransferHandle
 
-__all__ = ["FluidNetwork", "FluidFlow", "TransferHandle", "Reservation"]
+__all__ = ["FluidNetwork", "FluidFlow", "TransferHandle"]

@@ -63,7 +63,6 @@ class FluidFlow:
     rate: float = 0.0
     bytes_sent: float = 0.0
     closed: bool = False
-    reserved: bool = False
 
     @property
     def is_multicast(self) -> bool:
@@ -106,25 +105,6 @@ class TransferHandle:
         return self.size_bytes * 8.0 / elapsed
 
 
-@dataclass
-class Reservation:
-    """A guaranteed-bandwidth carve-out along a route (§4.5 extension).
-
-    Admitted reservations remove their rate from the capacity every
-    best-effort flow competes for; a flow opened with ``use_reservation``
-    then receives exactly the reserved rate, regardless of congestion.
-    """
-
-    reservation_id: int
-    src: str
-    dst: str
-    rate: float
-    resources: tuple[Hashable, ...]
-    hops: tuple
-    drain_latency: float
-    active: bool = True
-
-
 class FluidNetwork:
     """Binds a topology to an engine and allocates rates to live flows."""
 
@@ -152,8 +132,6 @@ class FluidNetwork:
         self._octets: dict[Hashable, float] = {
             d.key: 0.0 for d in topology.iter_directions()
         }
-        self._reservations: dict[int, Reservation] = {}
-        self._reserved_load: dict[Hashable, float] = {}
         #: CPU busy-time accounting for every compute node (the "simple
         #: interface to computation resources" substrate).
         self.host_activity = HostActivity(
@@ -361,86 +339,6 @@ class FluidNetwork:
         timer.succeed(delay=delay)
         return handle
 
-    # -- guaranteed services (reservations) ------------------------------------
-
-    def reserve(self, src: str, dst: str, rate: float) -> Reservation:
-        """Admit a guaranteed-bandwidth reservation or raise SimulationError.
-
-        Admission: on every resource along the route, the sum of admitted
-        reservations plus *rate* must fit within the physical capacity.
-        """
-        self._check_endpoints(src, dst)
-        if rate <= 0:
-            raise SimulationError(f"reservation rate must be positive, got {rate}")
-        route = self.routing.route(src, dst)
-        resources = self._resources_for(route)
-        for resource in resources:
-            capacity = self._capacities.get(resource, float("inf"))
-            if self._reserved_load.get(resource, 0.0) + rate > capacity * (1 + 1e-9):
-                raise SimulationError(
-                    f"reservation {src}->{dst} at {rate:.3g}b/s rejected: "
-                    f"resource {resource!r} has insufficient unreserved capacity"
-                )
-        reservation = Reservation(
-            reservation_id=next(self._ids),
-            src=src,
-            dst=dst,
-            rate=float(rate),
-            resources=resources,
-            hops=route.hops,
-            drain_latency=route.latency,
-        )
-        self._reservations[reservation.reservation_id] = reservation
-        for resource in resources:
-            self._reserved_load[resource] = (
-                self._reserved_load.get(resource, 0.0) + reservation.rate
-            )
-        self._sync()
-        self._reallocate()
-        return reservation
-
-    def release(self, reservation: Reservation) -> None:
-        """Return a reservation's capacity to the best-effort pool."""
-        if not reservation.active:
-            return
-        reservation.active = False
-        self._reservations.pop(reservation.reservation_id, None)
-        for resource in reservation.resources:
-            self._reserved_load[resource] -= reservation.rate
-        self._sync()
-        self._reallocate()
-
-    def open_reserved_flow(
-        self, reservation: Reservation, label: str | None = None
-    ) -> FluidFlow:
-        """A flow carried inside a reservation: rate pinned, never shared."""
-        if not reservation.active:
-            raise SimulationError("reservation has been released")
-        flow = FluidFlow(
-            flow_id=next(self._ids),
-            src=reservation.src,
-            dst=reservation.dst,
-            demand=reservation.rate,
-            weight=1.0,
-            label=label or f"reserved:{reservation.src}->{reservation.dst}",
-            opened_at=self.env.now,
-            resources=(),  # excluded from best-effort max-min
-            hops=reservation.hops,
-            drain_latency=reservation.drain_latency,
-            receivers=(reservation.dst,),
-            rate=reservation.rate,
-            reserved=True,
-        )
-        self._sync()
-        self._flows[flow.flow_id] = flow
-        self._reallocate()
-        return flow
-
-    @property
-    def reservations(self) -> list[Reservation]:
-        """Currently admitted reservations."""
-        return list(self._reservations.values())
-
     # -- accounting ----------------------------------------------------------
 
     def _sync(self) -> None:
@@ -468,19 +366,10 @@ class FluidNetwork:
                 cap=flow.demand,
             )
             for flow in self._flows.values()
-            if flow.demand > 0 and not flow.reserved
+            if flow.demand > 0
         ]
-        if self._reserved_load and any(self._reserved_load.values()):
-            capacities = {
-                key: max(0.0, cap - self._reserved_load.get(key, 0.0))
-                for key, cap in self._capacities.items()
-            }
-        else:
-            capacities = self._capacities
-        result = weighted_max_min(demands, capacities) if demands else None
+        result = weighted_max_min(demands, self._capacities) if demands else None
         for flow in self._flows.values():
-            if flow.reserved:
-                continue  # rate pinned at the reserved value
             flow.rate = result.rates.get(flow.flow_id, 0.0) if result else 0.0
         # Copy: completing a transfer inside _schedule_completion closes its
         # flow, which mutates self._transfers.

@@ -9,18 +9,9 @@ paper prescribes the *existence* of the measure, not a formula).
 
 from __future__ import annotations
 
-import math
-
-try:  # numpy is the optional ``repro[fast]`` accelerator
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
-    np = None
+import numpy as np
 
 from repro.stats.quartiles import five_number, sorted_with_mean
-
-# numpy's exp and libm's differ in the last bit for some arguments; each
-# build keeps the one it has always used.
-_exp = math.exp if np is None else np.exp
 
 
 def quartile_accuracy(n: int, q1: float, median: float, q3: float) -> float:
@@ -31,7 +22,9 @@ def quartile_accuracy(n: int, q1: float, median: float, q3: float) -> float:
     * shrinks with relative dispersion (IQR/median), since a highly
       variable series pins down the "true" level less well.
     """
-    count_term = 1.0 - _exp(-n / 10.0)
+    # numpy's exp, not libm's: the two differ in the last bit for some
+    # arguments, and every committed accuracy was computed with numpy's.
+    count_term = 1.0 - np.exp(-n / 10.0)
     if n == 1:
         return float(0.5 * count_term)
     scale = max(abs(median), 1e-12)

@@ -14,10 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Protocol
 
-try:  # numpy is the optional ``repro[fast]`` accelerator
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
-    np = None
+import numpy as np
 
 from repro.stats.quartiles import StatMeasure, percentiles
 from repro.stats.series import TimeSeries
@@ -192,19 +189,11 @@ def _pair_indices(count: int):
 
 def _theil_sen(fit_t: "list[float]", fit_v: "list[float]") -> float:
     """Median of the pairwise slopes (pairs at equal times carry none)."""
-    if np is not None:
-        first, second = _pair_indices(len(fit_t))
-        t, v = np.array(fit_t), np.array(fit_v)
-        dt = t[second] - t[first]
-        spaced = dt > 0
-        slopes = np.sort((v[second] - v[first])[spaced] / dt[spaced])
-    else:
-        slopes = sorted(
-            (fit_v[j] - fit_v[i]) / (fit_t[j] - fit_t[i])
-            for i in range(len(fit_v))
-            for j in range(i + 1, len(fit_v))
-            if fit_t[j] > fit_t[i]
-        )
+    first, second = _pair_indices(len(fit_t))
+    t, v = np.array(fit_t), np.array(fit_v)
+    dt = t[second] - t[first]
+    spaced = dt > 0
+    slopes = np.sort((v[second] - v[first])[spaced] / dt[spaced])
     if len(slopes) == 0:
         return 0.0
     mid = len(slopes) // 2
@@ -221,7 +210,7 @@ class QuantileRegressionPredictor(_HistoryPredictor):
     independent pinball-loss fits that keeps the quartile ordering by
     construction.  The pairwise-slope set stays small at any window size
     (capped by ``max_fit_samples`` subsampling) and is taken in one
-    vectorised pair-difference when numpy is present.
+    vectorised pair-difference.
     """
 
     def __init__(self, history_window: float = 120.0, max_fit_samples: int = 40):

@@ -13,10 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-try:  # numpy is the optional ``repro[fast]`` accelerator
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
-    np = None
+import numpy as np
 
 from repro.util.errors import ConfigurationError
 
@@ -42,17 +39,12 @@ def percentiles(ordered: "list[float]", percents: Iterable[float]) -> list[float
 
 def sorted_with_mean(values: Iterable[float]) -> "tuple[list[float], float]":
     """*values* as ascending Python floats, plus their mean (``[], 0.0`` if empty)."""
-    if np is not None:
-        data = np.asarray(
-            values if isinstance(values, np.ndarray) else list(values), dtype=float
-        )
-        if data.size:
-            # add.reduce / n is ndarray.mean()'s own arithmetic (pairwise sum).
-            return np.sort(data).tolist(), float(np.add.reduce(data) / data.size)
-    else:
-        data = [float(v) for v in values]
-        if data:
-            return sorted(data), sum(data) / len(data)
+    data = np.asarray(
+        values if isinstance(values, np.ndarray) else list(values), dtype=float
+    )
+    if data.size:
+        # add.reduce / n is ndarray.mean()'s own arithmetic (pairwise sum).
+        return np.sort(data).tolist(), float(np.add.reduce(data) / data.size)
     return [], 0.0
 
 
@@ -275,9 +267,13 @@ class StatMeasure:
     def min_of(a: "StatMeasure", b: "StatMeasure") -> "StatMeasure":
         """Element-wise minimum: the bottleneck of two series resources.
 
-        Exact distributional combination is unknowable from quartiles; the
-        element-wise min is the standard conservative approximation when
-        collapsing a chain of links into one logical link.
+        Exact distributional combination is unknowable from quartiles.
+        The element-wise min bounds the chain's true quartiles from
+        *above*: for every p, q_p(min(X, Y)) <= min(q_p(X), q_p(Y)), with
+        equality only when the loads move together.  It is
+        "conservative" only in the sense of being no higher than the flat
+        per-quantile answer, which is itself optimistic under independent
+        loads.
         """
         return StatMeasure(
             minimum=min(a.minimum, b.minimum),

@@ -19,28 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-try:  # numpy is the optional ``repro[fast]`` accelerator
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
-    np = None
+import numpy as np
 
 from repro.stats.quartiles import StatMeasure
 from repro.util.errors import ConfigurationError
-
-
-class _FloatVector(list):
-    """No-numpy stand-in for the 1-D arrays ``window()`` etc. return.
-
-    Callers touch only ``.size``, ``.mean()``, iteration and indexing, so a
-    thin list subclass keeps the scalar fallback API-compatible.
-    """
-
-    @property
-    def size(self) -> int:
-        return len(self)
-
-    def mean(self) -> float:
-        return sum(self) / len(self)
 
 
 class TimeSeries:
@@ -162,9 +144,7 @@ class TimeSeries:
         return self._times[lo:hi], self._values[lo:hi]
 
     def _vector(self, column: "list[float]", lo: int, hi: int):
-        """``column[lo:hi]`` as the 1-D array type the public API returns."""
-        if np is None:
-            return _FloatVector(column[lo:hi])
+        """``column[lo:hi]`` as the 1-D array the public API returns."""
         array = np.array(column[lo:hi], dtype=float)
         if self._frozen:
             array.flags.writeable = False

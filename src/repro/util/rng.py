@@ -7,20 +7,7 @@ so experiments are reproducible bit-for-bit from a single integer seed.
 
 from __future__ import annotations
 
-try:  # numpy is the optional ``repro[fast]`` accelerator
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
-    np = None
-
-
-def _require_numpy() -> None:
-    if np is None:
-        from repro.util.errors import ConfigurationError
-
-        raise ConfigurationError(
-            "deterministic RNG streams require numpy; install the "
-            "'repro[fast]' extra"
-        )
+import numpy as np
 
 
 def make_rng(seed: "int | np.random.Generator | None" = 0) -> "np.random.Generator":
@@ -30,7 +17,6 @@ def make_rng(seed: "int | np.random.Generator | None" = 0) -> "np.random.Generat
     either a seed or a generator.  ``None`` gives OS entropy (only sensible
     in interactive exploration, never in tests or benchmarks).
     """
-    _require_numpy()
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -42,5 +28,4 @@ def spawn_rng(rng: "np.random.Generator", count: int) -> "list[np.random.Generat
     Used to give each traffic source its own stream so adding a source does
     not perturb the draws seen by existing ones.
     """
-    _require_numpy()
     return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(count)]

@@ -6,7 +6,8 @@ and one ``complement_of``; every later read — by any path: the array
 evaluator, the lazy capacity views, admission — is a lookup.  A host's
 CPU load is memoised the same way.
 Answers stay those of the cold ``enable_cache=False`` oracle to the bit,
-across sweeps, journal gaps, structural changes and metrics-only forks.
+across sweeps, journal gaps, structural changes and metrics-only forks;
+the oracle answers through the shared plan, called directly.
 """
 
 import random
@@ -22,8 +23,8 @@ from repro.collector.base import NetworkView
 from repro.collector.metrics import CPU_PSEUDO_LINK
 from repro.core import Flow, Modeler, Remos, Timeframe
 from repro.core import modeler as modeler_module
+from repro.core import plan
 from repro.core.evaluator import TimeframeEvaluator
-from repro.fairshare import vectorized
 from repro.net import TopologyBuilder
 from repro.stats import StatMeasure
 from repro.util import mbps
@@ -63,6 +64,20 @@ def all_pairs(hosts: list[str]) -> list[Flow]:
     return [Flow(a, b) for a in hosts for b in hosts if a != b]
 
 
+def plan_answer(modeler: Modeler, flows: list[Flow], timeframe: Timeframe):
+    """A variable-flow scenario through the plan over *modeler*'s epoch."""
+    local = plan.LocalSource(modeler, timeframe)
+    return plan.evaluate(local.resolve, local.price, [], flows, [], timeframe)
+
+
+def answer(remos: Remos, flows: list[Flow], timeframe: Timeframe, evaluator: str):
+    """The array evaluator (what ``flow_info`` runs for unicast flows) or
+    the plan, its oracle, over the facade's current epoch."""
+    if evaluator == "vector":
+        return remos.flow_info(variable_flows=flows, timeframe=timeframe)
+    return plan_answer(remos._modeler(), flows, timeframe)
+
+
 def crossed_directions(modeler: Modeler, flows: list[Flow]) -> set:
     return {
         hop.key for flow in flows for hop in modeler.routing.route(flow.src, flow.dst).hops
@@ -96,9 +111,11 @@ TIMEFRAMES = {
 
 class TestPricedOncePerEpoch:
     @pytest.mark.parametrize("timeframe", TIMEFRAMES.values(), ids=TIMEFRAMES.keys())
-    @pytest.mark.parametrize("n_hosts", [10, 2], ids=["all-pairs-10", "scalar-2"])
+    @pytest.mark.parametrize(
+        "n_hosts, evaluator", [(10, "vector"), (2, "scalar")], ids=["all-pairs-10", "scalar-2"]
+    )
     def test_cold_query_prices_each_direction_once_then_never(
-        self, pricing_calls, timeframe, n_hosts
+        self, pricing_calls, timeframe, n_hosts, evaluator
     ):
         topology = tree_topology()
         remos = Remos(sampled_view(topology, random.Random(5)))
@@ -106,16 +123,16 @@ class TestPricedOncePerEpoch:
         crossed = crossed_directions(remos._modeler(), flows)
         stats = remos.cache_stats
 
-        first = remos.flow_info(variable_flows=flows, timeframe=timeframe)
+        first = answer(remos, flows, timeframe, evaluator)
         assert stats.misses == len(crossed)
         assert pricing_calls == {"used": len(crossed), "complement": len(crossed)}
 
         hits = stats.hits
-        again = remos.flow_info(variable_flows=flows, timeframe=timeframe)
+        again = answer(remos, flows, timeframe, evaluator)
         assert again == first
         assert pricing_calls == {"used": len(crossed), "complement": len(crossed)}
         assert stats.misses == len(crossed)
-        # One price read per crossed direction per scenario, on either kernel.
+        # One price read per crossed direction per scenario, on either evaluator.
         assert stats.hits - hits == len(crossed)
 
     def test_every_path_reads_the_same_price(self, pricing_calls):
@@ -127,7 +144,7 @@ class TestPricedOncePerEpoch:
         flows = all_pairs(hosts[:6])
         remos.flow_info(variable_flows=flows, timeframe=timeframe)
         priced = dict(pricing_calls)
-        remos.flow_info(variable_flows=flows[:2], timeframe=timeframe)
+        plan_answer(remos._modeler(), flows[:2], timeframe)
         remos.check_admission(
             [Flow(hosts[0], hosts[5], requested=mbps(10))], timeframe
         )
@@ -136,8 +153,10 @@ class TestPricedOncePerEpoch:
             assert key in view and view[key] >= 0.0
         assert pricing_calls == priced
 
-    @pytest.mark.parametrize("n_hosts", [6, 2], ids=["vector-6", "scalar-2"])
-    def test_crossbar_constants_are_not_cache_hits(self, n_hosts):
+    @pytest.mark.parametrize(
+        "n_hosts, evaluator", [(6, "vector"), (2, "scalar")], ids=["vector-6", "scalar-2"]
+    )
+    def test_crossbar_constants_are_not_cache_hits(self, n_hosts, evaluator):
         """A finite crossbar is priced once too, but never stood in for a
         series summary: warm reads count the crossed directions only."""
         topology = tree_topology()
@@ -148,11 +167,12 @@ class TestPricedOncePerEpoch:
         warm_hits = []
         for built in (topology, finite):
             remos = Remos(sampled_view(built, random.Random(5)))
-            assert remos.flow_info(variable_flows=flows, timeframe=timeframe) == Remos(
-                remos._modeler().view, enable_cache=False
-            ).flow_info(variable_flows=flows, timeframe=timeframe)
+            cold = Remos(remos._modeler().view, enable_cache=False)
+            assert answer(remos, flows, timeframe, evaluator) == answer(
+                cold, flows, timeframe, "scalar"
+            )
             hits = remos.cache_stats.hits
-            remos.flow_info(variable_flows=flows, timeframe=timeframe)
+            answer(remos, flows, timeframe, evaluator)
             warm_hits.append(remos.cache_stats.hits - hits)
         assert any(key[0] == "xbar" for key in remos._modeler()._prices[timeframe])
         assert warm_hits[0] == warm_hits[1] > 0
@@ -175,16 +195,13 @@ class TestPricedOncePerEpoch:
         assert child is not parent and after == before
         # A fresh epoch: every crossed direction priced exactly once more.
         assert pricing_calls == {"used": 2 * len(crossed), "complement": 2 * len(crossed)}
-        if vectorized.vectorization_enabled():
-            assert child._snaparrays._routes is parent._snaparrays._routes
-            assert (
-                child._snaparrays._columns[timeframe][1]
-                is not parent._snaparrays._columns[timeframe][1]
-            )
+        assert child._snaparrays._routes is parent._snaparrays._routes
+        assert (
+            child._snaparrays._columns[timeframe][1]
+            is not parent._snaparrays._columns[timeframe][1]
+        )
 
     def test_structural_change_drops_rows_and_prices(self):
-        if not vectorized.vectorization_enabled():
-            pytest.skip("no array rows without the numpy kernels")
         topology = tree_topology()
         view = sampled_view(topology, random.Random(8))
         remos = Remos(view)
@@ -257,9 +274,8 @@ class TestTimeframeCap:
         assert pricing_calls["complement"] - calls["complement"] >= len(crossed)
         assert remos.cache_stats.misses == misses + len(crossed)
         assert list(prices) == [*timeframes[3:], timeframes[0]]
-        if vectorized.vectorization_enabled():
-            # The array projections go with the tables they project.
-            assert set(remos._modeler()._snaparrays._columns) <= set(prices)
+        # The array projections go with the tables they project.
+        assert set(remos._modeler()._snaparrays._columns) <= set(prices)
 
 
 # -- differential: tabled == cold oracle over random interleavings -------------
@@ -283,7 +299,7 @@ query_op = st.tuples(
     st.just("query"),
     st.lists(st.integers(0, 15), min_size=2, max_size=7, unique=True),
     st.integers(0, len(QUERY_TIMEFRAMES) - 1),
-    st.sampled_from([None, True, False]),  # auto / force vector / REPRO_VECTORIZE=0
+    st.sampled_from(["vector", "scalar"]),  # array evaluator / the plan
 )
 other_op = st.tuples(st.sampled_from(["gap", "same-structure", "new-structure"]))
 
@@ -296,42 +312,35 @@ def test_tabled_answers_equal_the_cold_oracle(ops):
     held = Modeler(view)  # hand-held over the live view: never forked
     clock = 12.0
     extra = 0
-    try:
-        for op in ops:
-            if op[0] == "sweep":
-                _, picks, share, step = op
-                clock += step
-                directions = list(view.topology.iter_directions())
-                touched = set()
-                for pick in picks:
-                    direction = directions[pick % len(directions)]
-                    key = (direction.link.name, direction.src)
-                    view.metrics.record(*key, clock, share * direction.capacity)
-                    touched.add(key)
-                view.record_sweep(touched)
-            elif op[0] == "gap":
-                view.bump_generation()
-            elif op[0] == "same-structure":
-                view.topology = _grow(tree_topology(), extra)
-                view.record_structure_change()
-            elif op[0] == "new-structure":
-                extra += 1
-                view.topology = _grow(tree_topology(), extra)
-                view.record_structure_change()
-            else:
-                _, picks, which, mode = op
-                names = hosts_of(view.topology)
-                flows = all_pairs([names[p % len(names)] for p in picks])
-                timeframe = QUERY_TIMEFRAMES[which]
-                vectorized.set_vectorized(False)
-                expected = cold.flow_info(variable_flows=flows, timeframe=timeframe)
-                vectorized.set_vectorized(mode)
-                assert tabled.flow_info(variable_flows=flows, timeframe=timeframe) == expected
-                assert (
-                    tabled._evaluate_flow_query(held, [], flows, [], timeframe) == expected
-                )
-    finally:
-        vectorized.set_vectorized(None)
+    for op in ops:
+        if op[0] == "sweep":
+            _, picks, share, step = op
+            clock += step
+            directions = list(view.topology.iter_directions())
+            touched = set()
+            for pick in picks:
+                direction = directions[pick % len(directions)]
+                key = (direction.link.name, direction.src)
+                view.metrics.record(*key, clock, share * direction.capacity)
+                touched.add(key)
+            view.record_sweep(touched)
+        elif op[0] == "gap":
+            view.bump_generation()
+        elif op[0] == "same-structure":
+            view.topology = _grow(tree_topology(), extra)
+            view.record_structure_change()
+        elif op[0] == "new-structure":
+            extra += 1
+            view.topology = _grow(tree_topology(), extra)
+            view.record_structure_change()
+        else:
+            _, picks, which, evaluator = op
+            names = hosts_of(view.topology)
+            flows = all_pairs([names[p % len(names)] for p in picks])
+            timeframe = QUERY_TIMEFRAMES[which]
+            expected = answer(cold, flows, timeframe, "scalar")
+            assert answer(tabled, flows, timeframe, evaluator) == expected
+            assert tabled._evaluate_flow_query(held, [], flows, [], timeframe) == expected
 
 
 def _grow(topology, extra: int):
@@ -356,7 +365,7 @@ def test_concurrent_first_queries_share_one_keyspace(monkeypatch):
     columns through one keyspace and one fill lock: each reader asks for
     different flows (so private keyspaces would number the resources
     differently), then reads the others' flows through the warm table, and
-    every answer is checked against the cold scalar oracle.
+    every answer is checked against the cold plan oracle.
     """
     from repro.core import snaparrays
 
@@ -373,61 +382,52 @@ def test_concurrent_first_queries_share_one_keyspace(monkeypatch):
     hosts = hosts_of(topology)
     timeframe = Timeframe.history(8.0)
     n_readers = 6
-    vectorized.set_vectorized(True)
-    try:
-        for round_seed in range(3):
-            view = sampled_view(topology, random.Random(20 + round_seed))
-            remos = Remos(view, auto_publish=False)
-            modeler = remos.publish().modeler
-            assert modeler._snaparrays is None  # a fresh epoch
-            rng = random.Random(30 + round_seed)
-            flow_sets = [all_pairs(rng.sample(hosts, 5)) for _ in range(n_readers)]
-            barrier = threading.Barrier(n_readers)
-            answers: dict[tuple[int, int], object] = {}
-            failures: list[BaseException] = []
+    for round_seed in range(3):
+        view = sampled_view(topology, random.Random(20 + round_seed))
+        remos = Remos(view, auto_publish=False)
+        modeler = remos.publish().modeler
+        assert modeler._snaparrays is None  # a fresh epoch
+        rng = random.Random(30 + round_seed)
+        flow_sets = [all_pairs(rng.sample(hosts, 5)) for _ in range(n_readers)]
+        barrier = threading.Barrier(n_readers)
+        answers: dict[tuple[int, int], object] = {}
+        failures: list[BaseException] = []
 
-            def reader(index: int):
-                try:
-                    barrier.wait()
-                    order = [index, *(i for i in range(n_readers) if i != index)]
-                    for which in order:
-                        answers[index, which] = remos._evaluate_flow_query(
-                            modeler, [], flow_sets[which], [], timeframe
-                        )
-                except BaseException as exc:
-                    failures.append(exc)
+        def reader(index: int):
+            try:
+                barrier.wait()
+                order = [index, *(i for i in range(n_readers) if i != index)]
+                for which in order:
+                    answers[index, which] = remos._evaluate_flow_query(
+                        modeler, [], flow_sets[which], [], timeframe
+                    )
+            except BaseException as exc:
+                failures.append(exc)
 
-            threads = [
-                threading.Thread(target=reader, args=(i,)) for i in range(n_readers)
-            ]
-            built.clear()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-            assert not any(thread.is_alive() for thread in threads)
-            assert not failures, failures
-            assert len(built) == 1
+        threads = [
+            threading.Thread(target=reader, args=(i,)) for i in range(n_readers)
+        ]
+        built.clear()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures
+        assert len(built) == 1
 
-            vectorized.set_vectorized(False)
-            oracle = Modeler(modeler.view, modeler.routing, enable_cache=False)
-            expected = [
-                remos._evaluate_flow_query(oracle, [], flows, [], timeframe)
-                for flows in flow_sets
-            ]
-            vectorized.set_vectorized(True)
-            assert len(answers) == n_readers * n_readers
-            for (_, which), answer in answers.items():
-                assert answer == expected[which]
-    finally:
-        vectorized.set_vectorized(None)
+        oracle = Modeler(modeler.view, modeler.routing, enable_cache=False)
+        expected = [plan_answer(oracle, flows, timeframe) for flows in flow_sets]
+        assert len(answers) == n_readers * n_readers
+        for (_, which), result in answers.items():
+            assert result == expected[which]
 
 
 def test_concurrent_fills_return_the_single_threaded_answer():
     """8 readers fill whichever epoch they pinned while a sweeper publishes.
 
-    Forced onto the array path so small early queries intern few routes and
-    later ones grow the price arrays under concurrent readers.
+    Small early queries intern few routes and later ones grow the price
+    arrays under concurrent readers.
     """
     topology = tree_topology(32)
     rng = random.Random(13)
@@ -467,10 +467,10 @@ def test_concurrent_fills_return_the_single_threaded_answer():
                 for size in (3, 4, 6, 9):
                     flows = all_pairs(read_rng.sample(hosts, size))
                     timeframe = read_rng.choice(timeframes)
-                    answer = remos._evaluate_flow_query(
+                    result = remos._evaluate_flow_query(
                         snapshot.modeler, [], flows, [], timeframe
                     )
-                    seen.append((snapshot, flows, timeframe, answer))
+                    seen.append((snapshot, flows, timeframe, result))
         except BaseException as exc:
             failures.append(exc)
 
@@ -478,7 +478,6 @@ def test_concurrent_fills_return_the_single_threaded_answer():
         threading.Thread(target=reader, args=(seed,)) for seed in range(8)
     ]
     interval = sys.getswitchinterval()
-    vectorized.set_vectorized(True)
     sys.setswitchinterval(1e-5)
     try:
         for thread in threads:
@@ -489,7 +488,6 @@ def test_concurrent_fills_return_the_single_threaded_answer():
             thread.join(timeout=30.0)
     finally:
         sys.setswitchinterval(interval)
-        vectorized.set_vectorized(None)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures
     assert len({snapshot.epoch for snapshot, *_ in seen}) > 3
@@ -497,17 +495,13 @@ def test_concurrent_fills_return_the_single_threaded_answer():
     # Far more ids than a first query's table was sized for: arrays grew.
     assert len(remos.snapshot().modeler.snapshot_arrays().keyspace) > 64
 
-    # The single-threaded answer for each reader's epoch: the cold scalar
-    # path over that epoch's frozen view.
-    vectorized.set_vectorized(False)
-    try:
-        oracles: dict[int, Modeler] = {}
-        for snapshot, flows, timeframe, answer in seen[:: max(1, len(seen) // 400)]:
-            oracle = oracles.get(snapshot.epoch)
-            if oracle is None:
-                oracle = oracles[snapshot.epoch] = Modeler(
-                    snapshot.view, snapshot.modeler.routing, enable_cache=False
-                )
-            assert remos._evaluate_flow_query(oracle, [], flows, [], timeframe) == answer
-    finally:
-        vectorized.set_vectorized(None)
+    # The single-threaded answer for each reader's epoch: the cold plan
+    # over that epoch's frozen view.
+    oracles: dict[int, Modeler] = {}
+    for snapshot, flows, timeframe, result in seen[:: max(1, len(seen) // 400)]:
+        oracle = oracles.get(snapshot.epoch)
+        if oracle is None:
+            oracle = oracles[snapshot.epoch] = Modeler(
+                snapshot.view, snapshot.modeler.routing, enable_cache=False
+            )
+        assert plan_answer(oracle, flows, timeframe) == result

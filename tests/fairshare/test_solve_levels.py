@@ -1,12 +1,12 @@
 """``StagedProblem.solve_levels``: many capacity rows, one answer per row.
 
-From ``MIN_DEMANDS`` flows up (or when vectorization is forced) the three
-stages are interned into one key space and each stage is one filling run
-over every row; below that the rows are solved one by one.  Either way
-each row's allocation must equal, field for field and bit for bit, what
-the scalar level-by-level chain computes for that row alone — rates,
-satisfied, bottlenecks, residual capacities and iteration counts, dict
-order included.
+From ``MIN_DEMANDS`` flows up the three stages are interned into one key
+space and each stage is one filling run over every row; below that the
+rows are solved one by one.  Either way — and with the array path called
+directly at every size — each row's allocation must equal, field for
+field and bit for bit, what the scalar level-by-level chain computes for
+that row alone — rates, satisfied, bottlenecks, residual capacities and
+iteration counts, dict order included.
 """
 
 import math
@@ -82,27 +82,30 @@ def outcome(solve):
         return str(error)
 
 
-@pytest.mark.parametrize("mode", [True, False, None], ids=["forced", "scalar", "auto"])
+#: The three ways to many rows: the array path at any size, the scalar
+#: chain row by row, and ``solve_levels``' own choice by size.
+PATHS = {
+    "forced": lambda staged, rows: staged._solve_arrays(rows),
+    "scalar": lambda staged, rows: [staged._solve(row) for row in rows],
+    "auto": lambda staged, rows: staged.solve_levels(rows),
+}
+
+
+@pytest.mark.parametrize("path", list(PATHS), ids=list(PATHS))
 @settings(max_examples=150, deadline=None)
 @given(problem=staged_problems())
-def test_solve_levels_equals_each_row_solved_alone(mode, problem):
+def test_solve_levels_equals_each_row_solved_alone(path, problem):
     flows, rows = problem
-    vectorized.set_vectorized(False)
-    try:
-        oracle = outcome(
-            lambda: [StagedProblem(**flows).solve(dict(row)) for row in rows]
-        )
-        vectorized.set_vectorized(mode)
-        staged = StagedProblem(**flows)
-        assert outcome(lambda: staged.solve_levels(rows)) == oracle
-        assert outcome(lambda: [staged.solve(row) for row in rows]) == oracle
-    finally:
-        vectorized.set_vectorized(None)
+    oracle = outcome(
+        lambda: [StagedProblem(**flows)._solve(dict(row)) for row in rows]
+    )
+    staged = StagedProblem(**flows)
+    assert outcome(lambda: PATHS[path](staged, rows)) == oracle
+    assert outcome(lambda: [staged.solve(row) for row in rows]) == oracle
 
 
 def test_forced_levels_fill_each_stage_once_under_one_span(monkeypatch):
-    if not vectorized.HAVE_NUMPY:
-        pytest.skip("numpy not installed; no level axis")
+    """At ``MIN_DEMANDS`` flows the level axis is on: one run per stage."""
     calls = []
     fill = vectorized.fill
 
@@ -113,17 +116,18 @@ def test_forced_levels_fill_each_stage_once_under_one_span(monkeypatch):
     monkeypatch.setattr(vectorized, "fill", counted)
     problem = StagedProblem(
         fixed=[FlowRequest("f", ("a",), requested=3.0)],
-        variable=[FlowRequest("v", ("a", "b"), requested=2.0)],
+        variable=[
+            FlowRequest(f"v{i}", ("a", "b"), requested=2.0)
+            for i in range(vectorized.MIN_DEMANDS - 2)
+        ],
         independent=[FlowRequest("i", ("b",))],
     )
     rows = [{"a": 10.0 * level, "b": 5.0} for level in range(6)]
     obs.configure_observability(metrics=False, tracing=True, logging=False)
     try:
-        vectorized.set_vectorized(True)
         problem.solve_levels(rows)
         trace = obs.get_tracer().last_trace("fairshare.allocate")
     finally:
-        vectorized.set_vectorized(None)
         obs.reset_observability()
     assert calls == [(6, 1), (6, 2), (6, 1)]  # one run per stage, six rows each
     assert trace.attributes["levels"] == 6

@@ -12,28 +12,21 @@ count, and the same raised errors — across randomized adversarial inputs
 (duplicate crossings, zero/absent capacities, zero caps, infinities).
 
 The API-level test closes the loop end to end: ``flow_info_batch``
-answers over a real topology must be equal whether the array evaluator
-or the scalar path computed them.
+answers over a real topology (the array evaluator) must equal the shared
+plan's, called directly.
 """
 
 import math
-import os
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fairshare import Demand, MaxMinProblem
+from repro.fairshare import Demand, FlowRequest, MaxMinProblem, MaxMinResult, StagedProblem
 from repro.fairshare import vectorized
 from repro.fairshare.maxmin import _EPS
-
-if vectorized.HAVE_NUMPY:
-    import numpy as np
-
-pytestmark = pytest.mark.skipif(
-    not vectorized.HAVE_NUMPY, reason="numpy not installed; no vectorized kernel"
-)
 
 
 def bits(x: float) -> int:
@@ -46,12 +39,6 @@ def assert_same_floats(a: dict, b: dict, label: str) -> None:
         x, y = a[key], b[key]
         same = (math.isnan(x) and math.isnan(y)) or bits(x) == bits(y)
         assert same, f"{label}[{key}]: {x!r} vs {y!r}"
-
-
-@pytest.fixture(autouse=True)
-def _restore_mode():
-    yield
-    vectorized.set_vectorized(None)
 
 
 def random_problem(rng: random.Random):
@@ -75,16 +62,26 @@ def random_problem(rng: random.Random):
     return demands, capacities
 
 
+def fill_one_level(demands, capacities) -> MaxMinResult:
+    """The array kernel at one level, read back as a ``MaxMinResult``."""
+    MaxMinProblem(demands)  # the same demand validation
+    ((rates, bottlenecks, crossed, iterations),) = fill_levels(
+        demands, list(capacities), [list(capacities.values())]
+    )
+    residual = {key: max(0.0, float(cap)) for key, cap in capacities.items()}
+    residual.update(crossed)
+    return MaxMinResult(rates, bottlenecks, residual, iterations)
+
+
 def solve_both(demands, capacities):
-    """(scalar result|error, vectorized result|error) for one problem."""
+    """(scalar result|error, array kernel result|error) for one problem."""
     outcomes = []
-    for mode in (False, True):
-        vectorized.set_vectorized(mode)
+    for solve in (lambda: MaxMinProblem(demands).solve(dict(capacities)),
+                  lambda: fill_one_level(demands, dict(capacities))):
         try:
-            outcomes.append((MaxMinProblem(demands).solve(dict(capacities)), None))
+            outcomes.append((solve(), None))
         except Exception as exc:  # noqa: BLE001 - error parity is the assertion
             outcomes.append((None, (type(exc).__name__, str(exc))))
-    vectorized.set_vectorized(None)
     return outcomes
 
 
@@ -145,7 +142,7 @@ def check_levels_identical(demands, keys, rows) -> None:
     for level, (rates, bottlenecks, residual, iterations) in enumerate(
         fill_levels(demands, keys, rows)
     ):
-        scalar = problem.solve_scalar(dict(zip(keys, rows[level])))
+        scalar = problem.solve(dict(zip(keys, rows[level])))
         assert_same_floats(dict(scalar.rates), rates, f"rates@{level}")
         assert scalar.bottlenecks == bottlenecks, f"bottlenecks@{level}"
         assert_same_floats(
@@ -272,41 +269,54 @@ def test_duplicate_crossings_count_twice():
     )
 
 
-def test_forced_modes_route_to_their_kernels():
-    demands = [Demand(flow_id=f"f{i}", resources=("r0",)) for i in range(3)]
-    before = dict(vectorized.counters)
-    vectorized.set_vectorized(True)
-    MaxMinProblem(demands).solve({"r0": 9.0})
-    assert vectorized.counters["vectorized_solves"] == before["vectorized_solves"] + 1
-    vectorized.set_vectorized(False)
-    MaxMinProblem(demands).solve({"r0": 9.0})
-    assert vectorized.counters["scalar_solves"] == before["scalar_solves"] + 1
+@pytest.fixture
+def fills(monkeypatch):
+    """Level counts of every :func:`vectorized.fill` run (``fill_stages``
+    looks the kernel up per call, so the wrapper sees them all)."""
+    runs = []
+    kernel = vectorized.fill
+
+    def counting(arrays, remaining, present, thresholds):
+        runs.append(remaining.shape[0])
+        return kernel(arrays, remaining, present, thresholds)
+
+    monkeypatch.setattr(vectorized, "fill", counting)
+    return runs
 
 
-def test_auto_mode_uses_min_demands_threshold():
-    if os.environ.get("REPRO_VECTORIZE") is not None:
-        pytest.skip("REPRO_VECTORIZE pins a kernel; the auto heuristic is bypassed")
-    vectorized.set_vectorized(None)
-    small = [Demand(flow_id="f0", resources=("r0",))]
-    before = dict(vectorized.counters)
-    MaxMinProblem(small).solve({"r0": 1.0})
-    assert vectorized.counters["scalar_solves"] == before["scalar_solves"] + 1
-    large = [
-        Demand(flow_id=f"f{i}", resources=("r0",))
-        for i in range(vectorized.MIN_DEMANDS)
-    ]
-    before = dict(vectorized.counters)
-    MaxMinProblem(large).solve({"r0": 1.0})
-    assert (
-        vectorized.counters["vectorized_solves"] == before["vectorized_solves"] + 1
-    )
+def test_one_shot_problems_never_fill(fills):
+    """One capacity mapping is the scalar loop's shape, at any size."""
+    for n in (1, 3, vectorized.MIN_DEMANDS, 4 * vectorized.MIN_DEMANDS):
+        demands = [Demand(flow_id=f"f{i}", resources=("r0",)) for i in range(n)]
+        assert MaxMinProblem(demands).solve({"r0": 9.0}).rates["f0"] == 9.0 / n
+    assert fills == []
+
+
+def test_auto_mode_uses_min_demands_threshold(fills):
+    """``StagedProblem.solve_levels`` — the one size selection left — fills
+    every level in one run per stage from ``MIN_DEMANDS`` flows up."""
+    levels = [{"r0": 6.0}, {"r0": 12.0}, {"r0": 24.0}]
+
+    def staged(n):
+        return StagedProblem(
+            variable=[FlowRequest(f"v{i}", ("r0",)) for i in range(n - 1)],
+            independent=[FlowRequest("i0", ("r0",))],
+        )
+
+    small = staged(vectorized.MIN_DEMANDS - 1).solve_levels(levels)
+    assert fills == []
+    large = staged(vectorized.MIN_DEMANDS).solve_levels(levels)
+    assert fills == [3, 3]  # one run per stage, every level in it
+    assert small[0].rates["v0"] == 6.0 / (vectorized.MIN_DEMANDS - 2)
+    assert large[2].rates["v0"] == 24.0 / (vectorized.MIN_DEMANDS - 1)
 
 
 def test_flow_info_batch_answers_identical_end_to_end():
-    """The whole query path: array evaluator vs scalar, equal answers."""
+    """The whole query path: array evaluator vs the plan, equal answers."""
     from repro.collector import MetricsStore
     from repro.collector.base import NetworkView
     from repro.core import Flow, FlowQuery, Remos, Timeframe
+    from repro.core import plan
     from repro.net import TopologyBuilder
 
     builder = TopologyBuilder("diff").router("core")
@@ -337,10 +347,14 @@ def test_flow_info_batch_answers_identical_end_to_end():
     remos = Remos(NetworkView(topology=topology, metrics=MetricsStore()))
     timeframe = Timeframe.current()
 
-    vectorized.set_vectorized(False)
-    scalar_answers = remos.flow_info_batch(queries, timeframe)
-    vectorized.set_vectorized(True)
     vector_answers = remos.flow_info_batch(queries, timeframe)
+    local = plan.LocalSource(remos._modeler(), timeframe)
+    scalar_answers = [
+        plan.evaluate(
+            local.resolve, local.price, q.fixed, q.variable, q.independent, timeframe
+        )
+        for q in queries
+    ]
 
     assert scalar_answers == vector_answers
     for result in scalar_answers:

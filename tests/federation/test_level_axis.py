@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.core import Flow, FlowQuery, Timeframe
 from repro.core.plan import PRICED
-from repro.fairshare import vectorized
+from repro.fairshare import StagedProblem
 
 A, B, C, D, E, F = (
     "s0-leaf0-h0",
@@ -57,20 +57,20 @@ TIMEFRAMES = [
 ]
 
 
-def answer(remos, timeframe, mode):
-    vectorized.set_vectorized(mode)
-    try:
-        return remos.flow_info_batch([QUERY], timeframe)[0]
-    finally:
-        vectorized.set_vectorized(None)
+def level_by_level(self, levels):
+    """The scalar oracle of ``StagedProblem.solve_levels``: one chain per row."""
+    return [self._solve(capacities) for capacities in levels]
 
 
 @pytest.mark.parametrize("timeframe", TIMEFRAMES, ids=lambda tf: tf.kind.value)
-def test_answers_bit_identical_to_the_level_by_level_chain(loaded_world, timeframe):
+def test_answers_bit_identical_to_the_level_by_level_chain(
+    loaded_world, timeframe, monkeypatch
+):
     _world, remos, _oracle = loaded_world
     assert remos.home_shard(e for f in QUERY.flows for e in f.endpoints) is None
-    scalar = answer(remos, timeframe, False)
-    auto = answer(remos, timeframe, None)
+    auto = remos.flow_info_batch([QUERY], timeframe)[0]
+    monkeypatch.setattr(StagedProblem, "solve_levels", level_by_level)
+    scalar = remos.flow_info_batch([QUERY], timeframe)[0]
     assert len(auto.answers) == len(QUERY.flows) == 14
     # JSON floats round-trip exactly, -0.0 included: equal text, equal bits.
     assert json.dumps(auto.to_dict()) == json.dumps(scalar.to_dict())
@@ -84,8 +84,6 @@ def spans_named(span, name: str) -> list:
 
 
 def test_one_allocate_span_with_six_levels(loaded_world):
-    if not vectorized._use_vectorized(len(QUERY.flows)):
-        pytest.skip("array kernel off (no numpy or REPRO_VECTORIZE=0)")
     _world, remos, _oracle = loaded_world
     obs.configure_observability(metrics=False, tracing=True, logging=False)
     try:

@@ -11,7 +11,6 @@ import pytest
 from repro import obs
 from repro.core import Flow, MulticastFlow, Timeframe, remos_flow_info
 from repro.core.snaparrays import vectorizable
-from repro.fairshare import vectorized
 from repro.testbed import build_cmu_testbed
 
 HOSTS = ["m-1", "m-4", "m-6"]
@@ -37,12 +36,6 @@ def query(remos, hosts=HOSTS):
     )
 
 
-def on_array_path(n_flows: int) -> bool:
-    """Would a query of *n_flows* unicast flows take the array evaluator?
-    It allocates all six levels under one span; the scalar plan one each."""
-    return vectorizable([], [Flow("m-1", "m-4")] * n_flows, [])
-
-
 class TestFlowInfoSpanTree:
     def test_cold_query_builds_routing_inside_the_query_span(self, remos):
         query(remos)
@@ -51,10 +44,11 @@ class TestFlowInfoSpanTree:
         child_names = [child.name for child in trace.children()]
         # The first query constructs the Modeler, whose routing table fills
         # lazily (one per-source Dijkstra span per node the query touches)
-        # inside the query — then one fair-share allocation per
-        # availability quantile (5 quartiles + mean).
+        # inside the query — then one fair-share allocation over all six
+        # availability levels (5 quartiles + mean): every unicast query
+        # takes the array evaluator.
         assert child_names.count("routing.build") >= 1
-        assert child_names.count("fairshare.allocate") == (1 if on_array_path(6) else 6)
+        assert child_names.count("fairshare.allocate") == 1
 
     def test_warm_query_span_tree_and_attributes(self, remos):
         query(remos)
@@ -64,7 +58,7 @@ class TestFlowInfoSpanTree:
         trace = obs.get_tracer().last_trace("query.flow_info")
         assert [child.name for child in trace.children()] == [
             "fairshare.allocate"
-        ] * (1 if on_array_path(6) else 6)
+        ]
         assert trace.attributes["flow_count"] == 6
         assert trace.attributes["variable"] == 6
         assert trace.attributes["generation"] >= 1
@@ -77,9 +71,8 @@ class TestFlowInfoSpanTree:
         assert trace.duration > 0
 
     def test_warm_array_path_query_allocates_under_one_span(self, remos):
-        hosts = [*HOSTS, "m-8"]  # 12 flows: the array evaluator's side
-        if not on_array_path(12):
-            pytest.skip("array kernel off (no numpy or REPRO_VECTORIZE=0)")
+        hosts = [*HOSTS, "m-8"]  # 12 flows, answered like 6: one run per stage
+        assert vectorizable([], [Flow("m-1", "m-4")], [])
         query(remos, hosts)
         result = query(remos, hosts)
         assert len(result.variable) == 12
@@ -101,8 +94,6 @@ class TestFlowInfoSpanTree:
             MulticastFlow(src, [dst for dst in HOSTS if dst != src]) for src in HOSTS
         ] * 4
         assert len(flows) == 12 and not vectorizable([], flows, [])
-        if not vectorized._use_vectorized(len(flows)):
-            pytest.skip("array kernel off (no numpy or REPRO_VECTORIZE=0)")
         timeframe = Timeframe.history(WARMUP)
         remos_flow_info(remos, variable_flows=flows, timeframe=timeframe)
         result = remos_flow_info(remos, variable_flows=flows, timeframe=timeframe)

@@ -229,12 +229,12 @@ class TestAsyncFrontEnd:
         assert reply.startswith(b"HTTP/1.1 417") and b"Connection: close" in reply
         assert reply.count(b"HTTP/1.1 ") == 1 and not unhandled
 
-    def test_metrics_exposes_vectorized_gauge(self, live):
+    def test_metrics_exposes_snapshot_gauges(self, live):
         _, _, base = live
         status, body, _ = fetch(base + "/metrics")
         assert status == 200
-        assert b"remos_vectorized" in body
         assert b"remos_snapshot_epoch" in body
+        assert b"remos_queries_total" in body
 
     def test_slow_queries_recorded(self, live):
         service, _, base = live
